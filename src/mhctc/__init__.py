@@ -1,25 +1,22 @@
 """Multiple-hypothesis CTC loss and a toy semi-supervised adaptation pipeline."""
 
 from .alphabet import BLANK, LabelAlphabet
-from .ctc import ctc_loss, ctc_loss_bruteforce, expand_labels, min_frames
+from .ctc import ctc_loss, expand_labels, min_frames
 from .decode import DecodeConfig, beam_decode, greedy_decode
-from .mh import CombinedLossResult, HypothesisSet, mh_ctc_loss, product_form_check
+from .mh import HypothesisSet, mh_ctc_loss
 from .score import WerReport, edit_distance
 
 __all__ = [
     "BLANK",
     "LabelAlphabet",
     "ctc_loss",
-    "ctc_loss_bruteforce",
     "expand_labels",
     "min_frames",
     "DecodeConfig",
     "beam_decode",
     "greedy_decode",
-    "CombinedLossResult",
     "HypothesisSet",
     "mh_ctc_loss",
-    "product_form_check",
     "WerReport",
     "edit_distance",
 ]

@@ -15,6 +15,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .alphabet import LabelAlphabet
@@ -22,10 +23,10 @@ from .audio import NOISE_KINDS, SynthConfig, load_corpus, save_corpus, synth_cor
 from .decode import DecodeConfig, decode
 from .errors import ConfigError, InvalidInput, InvalidLabel, MhctcError, SizeError
 from .features import FeatureConfig, cmn, extract
-from .mh import HypothesisSet
 from .model import (
     ModelConfig,
     TrainConfig,
+    format_curve,
     forward,
     init_model,
     load_checkpoint,
@@ -33,7 +34,15 @@ from .model import (
     sgd_train,
     with_lineage,
 )
-from .pipeline import CONDITIONS, ExperimentPlan, format_report, run_experiment
+from .pipeline import (
+    CONDITIONS,
+    AdaptationSplit,
+    ExperimentPlan,
+    System,
+    condition_dataset,
+    format_report,
+    run_experiment,
+)
 from .score import score_corpus
 
 log = logging.getLogger(__name__)
@@ -42,10 +51,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
-
-def _feature_args(p):
-    p.add_argument("--features", choices=("fbank", "ste"), default="fbank")
-    p.add_argument("--n-bands", type=int, default=16)
+# inputs each adaptable condition needs, as argparse destinations
+ADAPT_INPUTS = {
+    "supervised-labeled": ("labeled",),
+    "supervised-all": ("labeled", "unlabeled"),
+    "semi-sup-A": ("unlabeled", "hyps_a"),
+    "semi-sup-B": ("unlabeled", "hyps_b"),
+    "mh-ctc": ("unlabeled", "hyps_a", "hyps_b"),
+}
 
 
 def _train_args(p):
@@ -77,7 +90,8 @@ def build_parser():
     p = sub.add_parser("train", help="train an acoustic model")
     p.add_argument("--corpus", required=True, help="manifest.json of a corpus")
     p.add_argument("--out", required=True, help="output checkpoint path")
-    _feature_args(p)
+    p.add_argument("--features", choices=("fbank", "ste"), default="fbank")
+    p.add_argument("--n-bands", type=int, default=16)
     p.add_argument("--context", type=int, default=4)
     p.add_argument("--hidden", type=int, default=128)
     _train_args(p)
@@ -90,7 +104,6 @@ def build_parser():
     p.add_argument("--unlabeled", help="manifest.json of the unlabeled subset")
     p.add_argument("--hyps-a", help="system-A hypothesis JSON for the unlabeled subset")
     p.add_argument("--hyps-b", help="system-B hypothesis JSON for the unlabeled subset")
-    _feature_args(p)
     _train_args(p)
 
     p = sub.add_parser("decode", help="decode a corpus")
@@ -99,7 +112,6 @@ def build_parser():
     p.add_argument("--out", required=True, help="output hypothesis JSON")
     p.add_argument("--mode", choices=("greedy", "beam"), default="beam")
     p.add_argument("--beam-width", type=int, default=20)
-    _feature_args(p)
 
     p = sub.add_parser("score", help="score hypotheses against references")
     p.add_argument("--ref", required=True, help="reference JSON (id -> label list)")
@@ -113,11 +125,12 @@ def build_parser():
 
 def _load_hyps(path):
     data = json.loads(Path(path).read_text())
-    return {uid: tuple(int(v) for v in labels) for uid, labels in data.items()}
-
-
-def _extract_all(utts, fcfg):
-    return [cmn(extract(u, fcfg)) for u in utts]
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object of id -> label list")
+    try:
+        return {uid: tuple(int(v) for v in labels) for uid, labels in data.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: label lists must hold integers: {exc}") from exc
 
 
 def cmd_synth(args):
@@ -148,11 +161,11 @@ def cmd_train(args):
         seed=args.seed,
     )
     params = init_model(mcfg)
-    data = list(zip(_extract_all(corpus, fcfg), (u.labels for u in corpus)))
+    data = [(cmn(extract(u, fcfg)), u.labels) for u in corpus]
     params, curve = sgd_train(params, data, _train_cfg_from(args))
     params = with_lineage(params, f"cli-train:{args.features}:seed={args.seed}")
-    save_checkpoint(params, args.out, alphabet_symbols=alphabet.symbols)
-    print(f"trained {args.features} model: loss {curve[0]:.3f} -> {curve[-1]:.3f}")
+    save_checkpoint(params, args.out, fcfg, alphabet_symbols=alphabet.symbols)
+    print(f"trained {args.features} model: loss {format_curve(curve)}")
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
 
@@ -167,74 +180,39 @@ def _train_cfg_from(args):
     )
 
 
-def _adapt_dataset(args, fcfg):
-    cond = args.condition
-    labeled, unlabeled = [], []
-    if args.labeled:
-        corpus, _ = load_corpus(args.labeled)
-        labeled = list(zip(_extract_all(corpus, fcfg), (u.labels for u in corpus)))
-    if args.unlabeled:
-        unlab_corpus, _ = load_corpus(args.unlabeled)
-        unlabeled = unlab_corpus
-    if cond == "supervised-labeled":
-        if not labeled:
-            raise ConfigError("supervised-labeled requires --labeled")
-        return labeled
-    if cond == "supervised-all":
-        if not labeled or not unlabeled:
-            raise ConfigError("supervised-all requires --labeled and --unlabeled")
-        feats = _extract_all(unlabeled, fcfg)
-        return labeled + list(zip(feats, (u.labels for u in unlabeled)))
-    if cond in ("semi-sup-A", "semi-sup-B"):
-        path = args.hyps_a if cond == "semi-sup-A" else args.hyps_b
-        if not unlabeled or not path:
-            raise ConfigError(f"{cond} requires --unlabeled and a hypothesis file")
-        hyps = _load_hyps(path)
-        feats = _extract_all(unlabeled, fcfg)
-        return labeled + [(x, hyps[u.id]) for x, u in zip(feats, unlabeled)]
-    if cond == "mh-ctc":
-        if not unlabeled or not args.hyps_a or not args.hyps_b:
-            raise ConfigError("mh-ctc requires --unlabeled, --hyps-a and --hyps-b")
-        hyps_a, hyps_b = _load_hyps(args.hyps_a), _load_hyps(args.hyps_b)
-        feats = _extract_all(unlabeled, fcfg)
-        data = [
-            (x, HypothesisSet(hypotheses=(labels,), source_tags=("manual",)))
-            for x, labels in labeled
-        ]
-        data += [
-            (
-                x,
-                HypothesisSet(
-                    hypotheses=(hyps_a[u.id], hyps_b[u.id]),
-                    source_tags=("sysA", "sysB"),
-                ),
-            )
-            for x, u in zip(feats, unlabeled)
-        ]
-        return data
-    raise ConfigError(f"condition {cond!r} is not adaptable from the CLI")
+def _load_utts(path):
+    return load_corpus(path)[0] if path else []
 
 
 def cmd_adapt(args):
-    params, symbols = load_checkpoint(args.ckpt)
+    params, symbols, fcfg = load_checkpoint(args.ckpt)
     if args.condition == "no-adapt":
-        save_checkpoint(params, args.out, alphabet_symbols=symbols)
+        save_checkpoint(params, args.out, fcfg, alphabet_symbols=symbols)
         print(f"no-adapt: checkpoint copied to {args.out}")
         return EXIT_OK
-    fcfg = FeatureConfig(kind=args.features, n_bands=args.n_bands)
-    data = _adapt_dataset(args, fcfg)
+    missing = [k for k in ADAPT_INPUTS[args.condition] if not getattr(args, k)]
+    if missing:
+        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
+        raise ConfigError(f"{args.condition} requires {flags}")
+    # the feature cache is keyed by utterance id, and two separately
+    # synthesized manifests reuse the same ids
+    labeled = [replace(u, id=f"labeled:{u.id}") for u in _load_utts(args.labeled)]
+    split = AdaptationSplit(labeled=labeled, unlabeled=_load_utts(args.unlabeled), test=[])
+    hyps_a = _load_hyps(args.hyps_a) if args.hyps_a else {}
+    hyps_b = _load_hyps(args.hyps_b) if args.hyps_b else {}
+    system = System(name="cli", feature_cfg=fcfg, params=params)
+    data = condition_dataset(args.condition, split, hyps_a, hyps_b, system, {})
     params, curve = sgd_train(params, data, _train_cfg_from(args))
     params = with_lineage(params, f"cli-adapt:{args.condition}:seed={args.seed}")
-    save_checkpoint(params, args.out, alphabet_symbols=symbols)
-    print(f"adapted ({args.condition}): loss {curve[0]:.3f} -> {curve[-1]:.3f}")
+    save_checkpoint(params, args.out, fcfg, alphabet_symbols=symbols)
+    print(f"adapted ({args.condition}): loss {format_curve(curve)}")
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
 
 
 def cmd_decode(args):
-    params, _ = load_checkpoint(args.ckpt)
+    params, _, fcfg = load_checkpoint(args.ckpt)
     corpus, _ = load_corpus(args.corpus)
-    fcfg = FeatureConfig(kind=args.features, n_bands=args.n_bands)
     dcfg = DecodeConfig(beam_width=args.beam_width, mode=args.mode)
     out = {}
     for u in corpus:

@@ -12,29 +12,30 @@ the exact gradient with respect to the input log-probabilities; use
 rows were produced from unnormalized scores.
 """
 
-import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .alphabet import BLANK, validate_transcription
-from .errors import InfeasibleAlignment, InvalidInput, InvalidLabel, OracleTooLarge
+from .errors import InfeasibleAlignment, InvalidInput
 
 MIN_PROB = 1e-30
 LOG_FLOOR = float(np.log(MIN_PROB))
 
-ORACLE_GUARD = 10**7
-
 NEG_INF = -np.inf
 
 
+@dataclass(slots=True)
 class LossResult:
-    """Scalar loss (nats) plus gradient w.r.t. the input log-probabilities."""
+    """Loss of one utterance and its gradient w.r.t. the input log-probabilities.
 
-    __slots__ = ("loss", "grad")
+    ``loss`` (nats) is the sum of ``per_hypothesis``: one entry for a plain
+    transcription, one per hypothesis for a multi-hypothesis set.
+    """
 
-    def __init__(self, loss, grad):
-        self.loss = loss
-        self.grad = grad
+    loss: float
+    grad: np.ndarray
+    per_hypothesis: list
 
 
 def expand_labels(labels, n_symbols=None):
@@ -65,14 +66,6 @@ def _check_logp(logp):
     return np.maximum(logp, LOG_FLOOR)
 
 
-def _check_labels(labels, n_classes):
-    labels = tuple(int(i) for i in labels)
-    for i in labels:
-        if not (1 <= i < n_classes):
-            raise InvalidLabel(f"label index {i} outside [1, {n_classes - 1}]")
-    return labels
-
-
 def ctc_loss(logp, labels):
     """Exact CTC loss and its gradient w.r.t. ``logp``.
 
@@ -82,7 +75,7 @@ def ctc_loss(logp, labels):
     """
     lp = _check_logp(logp)
     T, K = lp.shape
-    labels = _check_labels(labels, K)
+    labels = validate_transcription(labels, K - 1)
     need = min_frames(labels)
     if T < need:
         raise InfeasibleAlignment(
@@ -135,7 +128,8 @@ def ctc_loss(logp, labels):
     for s in range(S):
         grad[:, ext[s]] -= occ[:, s]
 
-    return LossResult(float(-log_p), grad)
+    loss = float(-log_p)
+    return LossResult(loss, grad, [loss])
 
 
 def logits_gradient(logp, grad_logp):
@@ -156,21 +150,3 @@ def collapse_path(path):
             out.append(a)
         prev = a
     return tuple(out)
-
-
-def ctc_loss_bruteforce(logp, labels):
-    """-log of the explicit sum over every length-T path collapsing to ``labels``.
-
-    Test oracle only: exponential in T.  Returns +inf when the path set is
-    empty (infeasible transcription).
-    """
-    lp = _check_logp(logp)
-    T, K = lp.shape
-    labels = tuple(int(i) for i in labels)
-    if K**T > ORACLE_GUARD:
-        raise OracleTooLarge(f"{K}^{T} paths exceed the {ORACLE_GUARD} guard")
-    total = NEG_INF
-    for path in itertools.product(range(K), repeat=T):
-        if collapse_path(path) == labels:
-            total = np.logaddexp(total, sum(lp[t, k] for t, k in enumerate(path)))
-    return float(-total)

@@ -25,10 +25,6 @@ class InfeasibleAlignment(MhctcError):
         self.hypothesis_index = hypothesis_index
 
 
-class OracleTooLarge(MhctcError):
-    """Brute-force enumeration would exceed the safety guard."""
-
-
 class ShapeError(MhctcError):
     """Array shape does not match the model or operation contract."""
 

@@ -7,10 +7,7 @@ STE:   mel-spaced triangular band masks applied to the full spectrum ->
 Both use the same framing, so frame counts always agree.
 """
 
-import hashlib
-import json
-import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, filtfilt
@@ -33,6 +30,8 @@ class FeatureConfig:
     def __post_init__(self):
         if self.kind not in ("fbank", "ste"):
             raise ConfigError("feature kind must be 'fbank' or 'ste'")
+        if type(self.n_bands) is not int or self.n_bands < 1:
+            raise ConfigError(f"n_bands must be a positive integer, got {self.n_bands!r}")
 
     @property
     def dim(self):
@@ -154,13 +153,6 @@ def extract(utt, cfg):
     return fbank(utt, cfg) if cfg.kind == "fbank" else ste(utt, cfg)
 
 
-def cmvn(feats):
-    """Per-utterance mean/variance normalization, dimension-wise."""
-    mu = feats.mean(axis=0, keepdims=True)
-    sd = feats.std(axis=0, keepdims=True)
-    return (feats - mu) / np.maximum(sd, 1e-8)
-
-
 def cmn(feats):
     """Per-utterance mean subtraction, dimension-wise.
 
@@ -171,29 +163,3 @@ def cmn(feats):
     """
     return feats - feats.mean(axis=0, keepdims=True)
 
-
-def config_hash(cfg):
-    return hashlib.sha256(
-        json.dumps(asdict(cfg), sort_keys=True).encode()
-    ).hexdigest()[:16]
-
-
-def save_features(feats, cfg, path):
-    """Flat binary cache: JSON header (dims, dtype, config hash) + raw data."""
-    feats = np.ascontiguousarray(feats, dtype=np.float64)
-    header = json.dumps(
-        {"shape": list(feats.shape), "dtype": str(feats.dtype), "config": config_hash(cfg)},
-        sort_keys=True,
-    ).encode()
-    with open(path, "wb") as f:
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(feats.tobytes())
-
-
-def load_features(path):
-    with open(path, "rb") as f:
-        (n,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(n))
-        data = np.frombuffer(f.read(), dtype=np.dtype(header["dtype"]))
-    return data.reshape(header["shape"]).copy(), header["config"]

@@ -5,11 +5,9 @@ product of the per-hypothesis path sums, so identical hypotheses are kept
 as-is (a duplicate doubles that utterance's gradient weight on purpose).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .ctc import ctc_loss, ctc_loss_bruteforce
+from .ctc import LossResult, ctc_loss
 from .errors import InfeasibleAlignment, InvalidInput
 
 
@@ -36,13 +34,6 @@ class HypothesisSet:
         return len(self.hypotheses)
 
 
-@dataclass
-class CombinedLossResult:
-    loss: float
-    per_hypothesis: list = field(default_factory=list)
-    grad: np.ndarray = None
-
-
 def mh_ctc_loss(logp, hs):
     """Combined loss over all hypotheses in ``hs`` plus the summed gradient.
 
@@ -61,12 +52,5 @@ def mh_ctc_loss(logp, hs):
             ) from exc
         per.append(res.loss)
         grad = res.grad if grad is None else grad + res.grad
-    return CombinedLossResult(loss=float(sum(per)), per_hypothesis=per, grad=grad)
+    return LossResult(loss=float(sum(per)), grad=grad, per_hypothesis=per)
 
-
-def product_form_check(logp, c1, c2):
-    """-log of the product of the two brute-force path sums (N=2 oracle).
-
-    Enumerates both path sets explicitly; +inf when either factor is empty.
-    """
-    return ctc_loss_bruteforce(logp, c1) + ctc_loss_bruteforce(logp, c2)

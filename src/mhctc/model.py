@@ -14,12 +14,15 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .ctc import ctc_loss, logits_gradient
-from .errors import DivergedError, InfeasibleAlignment, InvalidInput, ShapeError
+from .errors import ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, ShapeError
+from .features import FeatureConfig
 from .mh import HypothesisSet, mh_ctc_loss
 
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"MHCTCKP1"
+CHECKPOINT_VERSION = 2
+CHECKPOINT_KEYS = {"version", "config", "features", "alphabet", "lineage"}
 
 
 @dataclass(frozen=True)
@@ -63,18 +66,29 @@ class TrainConfig:
     grad_clip: float = 5.0
 
 
+def _tensor_shapes(config):
+    """Shape of every parameter tensor, in ``ModelParams.tensors`` order."""
+    d_in = config.feat_dim * (2 * config.context + 1)
+    return {
+        "w1": (d_in, config.hidden),
+        "b1": (config.hidden,),
+        "w2": (config.hidden, config.n_outputs),
+        "b2": (config.n_outputs,),
+    }
+
+
 def init_model(config):
     """Xavier-uniform initialization, fully determined by config.seed."""
     rng = np.random.default_rng(config.seed)
-    d_in = config.feat_dim * (2 * config.context + 1)
-    lim1 = np.sqrt(6.0 / (d_in + config.hidden))
-    lim2 = np.sqrt(6.0 / (config.hidden + config.n_outputs))
+    shapes = _tensor_shapes(config)
+    lim1 = np.sqrt(6.0 / sum(shapes["w1"]))
+    lim2 = np.sqrt(6.0 / sum(shapes["w2"]))
     return ModelParams(
         config=config,
-        w1=rng.uniform(-lim1, lim1, size=(d_in, config.hidden)),
-        b1=np.zeros(config.hidden),
-        w2=rng.uniform(-lim2, lim2, size=(config.hidden, config.n_outputs)),
-        b2=np.zeros(config.n_outputs),
+        w1=rng.uniform(-lim1, lim1, size=shapes["w1"]),
+        b1=np.zeros(shapes["b1"]),
+        w2=rng.uniform(-lim2, lim2, size=shapes["w2"]),
+        b2=np.zeros(shapes["b2"]),
         lineage=(f"init:seed={config.seed}",),
     )
 
@@ -213,50 +227,96 @@ def with_lineage(params, step):
     return replace(params.copy(), lineage=params.lineage + (step,))
 
 
-def save_checkpoint(params, path, alphabet_symbols=()):
-    """Deterministic binary container: magic, JSON header, raw tensor bytes."""
-    tensors = params.tensors()
+def format_curve(curve):
+    """First and last epoch of a loss curve, for log lines."""
+    if not curve:
+        return "no epochs run"
+    return f"{curve[0]:.3f} -> {curve[-1]:.3f}"
+
+
+def save_checkpoint(params, path, feature_cfg, alphabet_symbols=()):
+    """Deterministic binary container: magic, JSON header, raw tensor bytes.
+
+    The header records the model config and the front end the model was
+    trained on, so loading a checkpoint is enough to extract matching
+    features.  The float64 tensors follow in ``ModelParams.tensors`` order,
+    their shapes given by the config.
+    """
     header = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
+        "features": asdict(feature_cfg),
         "alphabet": list(alphabet_symbols),
         "lineage": list(params.lineage),
-        "tensors": [
-            {"name": k, "shape": list(v.shape), "dtype": str(v.dtype)}
-            for k, v in tensors.items()
-        ],
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(len(blob).to_bytes(8, "little"))
         f.write(blob)
-        for k in tensors:
-            f.write(np.ascontiguousarray(tensors[k]).tobytes())
+        for tensor in params.tensors().values():
+            f.write(np.ascontiguousarray(tensor, dtype=np.float64).tobytes())
+
+
+def _read_header(data, path):
+    """Parsed header and the offset of the first tensor byte."""
+    if data[:8] != CHECKPOINT_MAGIC:
+        raise InvalidInput(f"{path}: not a checkpoint file")
+    end = 16 + int.from_bytes(data[8:16], "little")
+    try:
+        header = json.loads(data[16:end])
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInput(f"{path}: unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise InvalidInput(f"{path}: checkpoint header is not a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise InvalidInput(
+            f"{path}: checkpoint version {header.get('version')!r} is not supported"
+            f" (expected {CHECKPOINT_VERSION}, which records the front end)"
+        )
+    missing, unknown = CHECKPOINT_KEYS - set(header), set(header) - CHECKPOINT_KEYS
+    if missing or unknown:
+        raise InvalidInput(
+            f"{path}: checkpoint header has missing keys {sorted(missing)}"
+            f" and unknown keys {sorted(unknown)}"
+        )
+    for key in ("alphabet", "lineage"):
+        if not isinstance(header[key], list) or not all(isinstance(v, str) for v in header[key]):
+            raise InvalidInput(f"{path}: checkpoint {key} must be a list of strings")
+    return header, end
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; bit-exact round trip."""
+    """Inverse of save_checkpoint; bit-exact round trip.
+
+    Returns (params, alphabet symbols, FeatureConfig).  A malformed,
+    truncated or inconsistent file raises InvalidInput.
+    """
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise InvalidInput(f"{path}: not a checkpoint file")
-        n = int.from_bytes(f.read(8), "little")
-        header = json.loads(f.read(n))
-        tensors = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            dtype = np.dtype(spec["dtype"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * dtype.itemsize)
-            tensors[spec["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    config = ModelConfig(**header["config"])
-    params = ModelParams(
-        config=config,
-        w1=tensors["w1"],
-        b1=tensors["b1"],
-        w2=tensors["w2"],
-        b2=tensors["b2"],
-        lineage=tuple(header["lineage"]),
-    )
-    return params, tuple(header["alphabet"])
+        data = f.read()
+    header, offset = _read_header(data, path)
+    try:
+        config = ModelConfig(**header["config"])
+        feature_cfg = FeatureConfig(**header["features"])
+    except (TypeError, ConfigError) as exc:
+        raise InvalidInput(f"{path}: bad checkpoint config: {exc}") from exc
+    dims = (config.feat_dim, config.n_outputs, config.context, config.hidden)
+    if not all(type(v) is int and v >= 0 for v in dims):
+        raise InvalidInput(f"{path}: model dimensions must be non-negative integers")
+    if feature_cfg.dim != config.feat_dim:
+        raise InvalidInput(
+            f"{path}: {feature_cfg.kind} features are {feature_cfg.dim}-dim,"
+            f" the model expects {config.feat_dim}"
+        )
+    tensors = {}
+    for name, shape in _tensor_shapes(config).items():
+        nbytes = 8 * int(np.prod(shape))
+        buf = data[offset : offset + nbytes]
+        if len(buf) != nbytes:
+            raise InvalidInput(f"{path}: truncated: tensor {name} has {len(buf)} of {nbytes} bytes")
+        tensors[name] = np.frombuffer(buf).reshape(shape).copy()
+        offset += nbytes
+    if offset != len(data):
+        raise InvalidInput(f"{path}: {len(data) - offset} trailing bytes after the last tensor")
+    params = ModelParams(config=config, lineage=tuple(header["lineage"]), **tensors)
+    return params, tuple(header["alphabet"]), feature_cfg

@@ -31,6 +31,7 @@ from .mh import HypothesisSet
 from .model import (
     ModelConfig,
     TrainConfig,
+    format_curve,
     forward,
     init_model,
     save_checkpoint,
@@ -154,7 +155,7 @@ def run_supervised_stage(sys_a, sys_b, split, plan, seed, cache):
         data = [(x, u.labels) for x, u in zip(feats, split.labeled)]
         params, curve = sgd_train(system.params, data, _train_cfg(plan, plan.finetune_epochs, seed))
         params = with_lineage(params, f"supervised-stage:{system.name}:seed={seed}")
-        log.info("supervised stage %s: loss %.2f -> %.2f", system.name, curve[0], curve[-1])
+        log.info("supervised stage %s: loss %s", system.name, format_curve(curve))
         adapted.append(replace(system, params=params))
     return adapted[0], adapted[1]
 
@@ -175,39 +176,44 @@ def run_pseudo_label_stage(sys_a_hat, sys_b_hat, split, plan, cache):
     return hyps[sys_a_hat.name], hyps[sys_b_hat.name]
 
 
-def _condition_dataset(condition, split, hyps_a, hyps_b, sys_a, cache):
-    """Assemble (features, target) pairs for one adaptation condition."""
-    lab_feats = _features_for(sys_a, split.labeled, cache)
-    unlab_feats = _features_for(sys_a, split.unlabeled, cache)
+def _pseudo_labels(hyps, utts, source):
+    missing = [u.id for u in utts if u.id not in hyps]
+    if missing:
+        raise ConfigError(f"no {source} hypothesis for unlabeled utterance {missing[0]!r}")
+    return [hyps[u.id] for u in utts]
+
+
+def condition_dataset(condition, split, hyps_a, hyps_b, system, cache):
+    """Assemble (features, target) pairs for one adaptation condition.
+
+    ``hyps_a`` / ``hyps_b`` map unlabeled utterance ids to the 1-best
+    hypotheses of systems A and B; features come from ``system``'s front end.
+    """
+    lab_feats = _features_for(system, split.labeled, cache)
+    unlab_feats = _features_for(system, split.unlabeled, cache)
     labeled = list(zip(lab_feats, (u.labels for u in split.labeled)))
     if condition == "supervised-labeled":
         return labeled
     if condition == "supervised-all":
         return labeled + list(zip(unlab_feats, (u.labels for u in split.unlabeled)))
     if condition == "semi-sup-A":
-        return labeled + [
-            (x, hyps_a[u.id]) for x, u in zip(unlab_feats, split.unlabeled)
-        ]
+        return labeled + list(zip(unlab_feats, _pseudo_labels(hyps_a, split.unlabeled, "sysA")))
     if condition == "semi-sup-B":
-        return labeled + [
-            (x, hyps_b[u.id]) for x, u in zip(unlab_feats, split.unlabeled)
-        ]
+        return labeled + list(zip(unlab_feats, _pseudo_labels(hyps_b, split.unlabeled, "sysB")))
     if condition == "mh-ctc":
         # manual transcriptions ride along as N=1 sets so one loss path
         # handles the whole mixed batch
+        pairs = zip(
+            _pseudo_labels(hyps_a, split.unlabeled, "sysA"),
+            _pseudo_labels(hyps_b, split.unlabeled, "sysB"),
+        )
         data = [
-            (x, HypothesisSet(hypotheses=(u.labels,), source_tags=("manual",)))
-            for x, u in zip(lab_feats, split.labeled)
+            (x, HypothesisSet(hypotheses=(labels,), source_tags=("manual",)))
+            for x, labels in labeled
         ]
         data += [
-            (
-                x,
-                HypothesisSet(
-                    hypotheses=(hyps_a[u.id], hyps_b[u.id]),
-                    source_tags=("sysA", "sysB"),
-                ),
-            )
-            for x, u in zip(unlab_feats, split.unlabeled)
+            (x, HypothesisSet(hypotheses=ab, source_tags=("sysA", "sysB")))
+            for x, ab in zip(unlab_feats, pairs)
         ]
         return data
     raise ConfigError(f"unknown condition {condition!r}")
@@ -217,13 +223,13 @@ def run_adaptation_condition(condition, initial_a, split, hyps_a, hyps_b, plan, 
     """Adapt the initial system-A model under one condition."""
     if condition == "no-adapt":
         return initial_a
-    data = _condition_dataset(condition, split, hyps_a, hyps_b, initial_a, cache)
+    data = condition_dataset(condition, split, hyps_a, hyps_b, initial_a, cache)
     params, curve = sgd_train(
         initial_a.params, data,
         _train_cfg(plan, plan.adapt_epochs, seed, plan.adapt_learning_rate),
     )
     params = with_lineage(params, f"adapt:{condition}:seed={seed}")
-    log.info("condition %s: loss %.2f -> %.2f", condition, curve[0], curve[-1])
+    log.info("condition %s: loss %s", condition, format_curve(curve))
     return replace(initial_a, params=params)
 
 
@@ -277,7 +283,7 @@ def _build_systems(plan, scenario, seed, alphabet, cache):
             system.params, data, _train_cfg(plan, plan.train_epochs, seed)
         )
         params = with_lineage(params, f"train:{scenario}:{name}:seed={seed}")
-        log.info("trained %s (%s): loss %.2f -> %.2f", name, scenario, curve[0], curve[-1])
+        log.info("trained %s (%s): loss %s", name, scenario, format_curve(curve))
         systems.append(replace(system, params=params))
     return systems[0], systems[1]
 
@@ -322,7 +328,7 @@ def run_scenario_seed(plan, scenario, seed, run_dir=None):
             ckpt_dir = Path(run_dir) / scenario / f"seed{seed}"
             ckpt_dir.mkdir(parents=True, exist_ok=True)
             save_checkpoint(
-                adapted.params, ckpt_dir / f"{condition}.ckpt",
+                adapted.params, ckpt_dir / f"{condition}.ckpt", adapted.feature_cfg,
                 alphabet_symbols=alphabet.symbols,
             )
     if run_dir is not None:

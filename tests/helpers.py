@@ -4,7 +4,40 @@ import itertools
 
 import numpy as np
 
-from mhctc.ctc import collapse_path
+from mhctc.ctc import NEG_INF, _check_logp, collapse_path
+from mhctc.errors import MhctcError
+
+ORACLE_GUARD = 10**7
+
+
+class OracleTooLarge(MhctcError):
+    """Brute-force enumeration would exceed the safety guard."""
+
+
+def ctc_loss_bruteforce(logp, labels):
+    """-log of the explicit sum over every length-T path collapsing to ``labels``.
+
+    Test oracle only: exponential in T.  Returns +inf when the path set is
+    empty (infeasible transcription).
+    """
+    lp = _check_logp(logp)
+    T, K = lp.shape
+    labels = tuple(int(i) for i in labels)
+    if K**T > ORACLE_GUARD:
+        raise OracleTooLarge(f"{K}^{T} paths exceed the {ORACLE_GUARD} guard")
+    total = NEG_INF
+    for path in itertools.product(range(K), repeat=T):
+        if collapse_path(path) == labels:
+            total = np.logaddexp(total, sum(lp[t, k] for t, k in enumerate(path)))
+    return float(-total)
+
+
+def product_form_check(logp, c1, c2):
+    """-log of the product of the two brute-force path sums (N=2 oracle).
+
+    Enumerates both path sets explicitly; +inf when either factor is empty.
+    """
+    return ctc_loss_bruteforce(logp, c1) + ctc_loss_bruteforce(logp, c2)
 
 
 def random_logp(rng, T, K):

@@ -17,16 +17,18 @@ from mhctc.audio import (
     symbol_band_centers,
     synth_utterance,
 )
-from mhctc.ctc import ctc_loss, ctc_loss_bruteforce, logits_gradient
+from mhctc.ctc import ctc_loss, logits_gradient
 from mhctc.decode import DecodeConfig, beam_decode
 from mhctc.features import FeatureConfig, fbank, mel_center_frequencies, ste
-from mhctc.mh import HypothesisSet, mh_ctc_loss, product_form_check
+from mhctc.mh import HypothesisSet, mh_ctc_loss
 from mhctc.model import ModelConfig, backward, forward, init_model
 from mhctc.pipeline import ExperimentPlan, run_experiment
 from mhctc.score import edit_distance
 
 from helpers import (
+    ctc_loss_bruteforce,
     exhaustive_best_labeling,
+    product_form_check,
     random_instance,
     random_logp,
     recursive_edit_distance,

@@ -1,0 +1,211 @@
+"""End-to-end tests of the ``mhctc`` command line on a tiny synthesized corpus."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from mhctc.audio import load_corpus, save_corpus
+from mhctc.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
+from mhctc.decode import DecodeConfig, beam_decode
+from mhctc.features import FeatureConfig, cmn, fbank, ste
+from mhctc.model import TrainConfig, forward, load_checkpoint, sgd_train
+
+TRAINABLE = ("supervised-labeled", "supervised-all", "semi-sup-A", "semi-sup-B", "mh-ctc")
+FAST_TRAIN = ["--hidden", "16", "--epochs", "2"]
+ADAPT_TRAIN = ["--epochs", "1", "--learning-rate", "0.01", "--seed", "3"]
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def ws(tmp_path_factory):
+    """Corpora, an STE-trained checkpoint and A/B hypothesis files.
+
+    The labeled and unlabeled corpora are synthesized separately, so they
+    reuse the same utterance ids.
+    """
+    d = tmp_path_factory.mktemp("cli")
+    for name, n, seed in (("train", 12, 1), ("lab", 3, 2), ("unlab", 5, 3)):
+        assert run("synth", "--out", d / name, "--n-utts", n, "--seed", seed,
+                   "--len-min", 2, "--len-max", 4, "--noise-kind", "babble") == EXIT_OK
+    assert run("train", "--corpus", d / "train/manifest.json", "--features", "ste",
+               "--out", d / "ste.ckpt", *FAST_TRAIN) == EXIT_OK
+    for mode, out in (("greedy", "hypsA.json"), ("beam", "hypsB.json")):
+        assert run("decode", "--ckpt", d / "ste.ckpt", "--corpus", d / "unlab/manifest.json",
+                   "--mode", mode, "--beam-width", 4, "--out", d / out) == EXIT_OK
+    return d
+
+
+def adapt(ws, condition, out, **inputs):
+    flags = []
+    for key, value in inputs.items():
+        flags += ["--" + key.replace("_", "-"), value]
+    return run("adapt", "--ckpt", ws / "ste.ckpt", "--condition", condition,
+               "--out", out, *flags, *ADAPT_TRAIN)
+
+
+def all_inputs(ws):
+    return dict(labeled=ws / "lab/manifest.json", unlabeled=ws / "unlab/manifest.json",
+                hyps_a=ws / "hypsA.json", hyps_b=ws / "hypsB.json")
+
+
+@pytest.mark.parametrize("command", ["decode", "adapt"])
+def test_front_end_flags_are_gone(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert "--features" not in out and "--n-bands" not in out
+
+
+def test_ste_checkpoint_decodes_with_ste_features(ws):
+    params, _, fcfg = load_checkpoint(ws / "ste.ckpt")
+    assert fcfg == FeatureConfig(kind="ste", n_bands=16)
+    corpus, _ = load_corpus(ws / "unlab/manifest.json")
+    cfg = DecodeConfig(beam_width=4)
+    want = {u.id: list(beam_decode(forward(params, cmn(ste(u, fcfg))), cfg).labels)
+            for u in corpus}
+    assert json.loads((ws / "hypsB.json").read_text()) == want
+    # FBANK at 16 bands has the same dimension, so a checkpoint that did not
+    # record its front end would decode silently with different hypotheses
+    wrong = {u.id: list(beam_decode(forward(params, cmn(fbank(u, FeatureConfig(n_bands=16)))), cfg).labels)
+             for u in corpus}
+    assert wrong != want
+
+
+@pytest.mark.parametrize("condition", ("no-adapt",) + TRAINABLE)
+def test_adapt_each_condition_keeps_front_end(ws, condition):
+    out = ws / f"{condition}.ckpt"
+    assert adapt(ws, condition, out, **all_inputs(ws)) == EXIT_OK
+    params, symbols, fcfg = load_checkpoint(out)
+    assert fcfg == FeatureConfig(kind="ste", n_bands=16)
+    assert symbols == tuple("abcde")
+    if condition != "no-adapt":
+        assert params.lineage[-1] == f"cli-adapt:{condition}:seed=3"
+
+
+def test_adapt_matches_in_process_training(ws):
+    # the labeled and unlabeled manifests share ids; each utterance must
+    # still be trained on its own features
+    out = ws / "check.ckpt"
+    assert adapt(ws, "supervised-all", out, labeled=ws / "lab/manifest.json",
+                 unlabeled=ws / "unlab/manifest.json") == EXIT_OK
+    params, _, fcfg = load_checkpoint(ws / "ste.ckpt")
+    utts = load_corpus(ws / "lab/manifest.json")[0] + load_corpus(ws / "unlab/manifest.json")[0]
+    data = [(cmn(ste(u, fcfg)), u.labels) for u in utts]
+    want, _ = sgd_train(params, data, TrainConfig(learning_rate=0.01, epochs=1, seed=3))
+    got, _, _ = load_checkpoint(out)
+    for k, v in want.tensors().items():
+        np.testing.assert_array_equal(got.tensors()[k], v)
+
+
+def test_score(ws, capsys):
+    corpus, _ = load_corpus(ws / "unlab/manifest.json")
+    (ws / "refs.json").write_text(json.dumps({u.id: list(u.labels) for u in corpus}))
+    assert run("score", "--ref", ws / "refs.json", "--hyp", ws / "hypsB.json") == EXIT_OK
+    assert capsys.readouterr().out.startswith("WER ")
+
+
+def test_zero_epochs_writes_unchanged_model(ws, tmp_path):
+    out = tmp_path / "zero.ckpt"
+    assert run("train", "--corpus", ws / "train/manifest.json", "--out", out,
+               "--epochs", 0, "--hidden", 16) == EXIT_OK
+    assert run("adapt", "--ckpt", out, "--condition", "supervised-labeled",
+               "--labeled", ws / "lab/manifest.json", "--out", tmp_path / "a.ckpt",
+               "--epochs", 0) == EXIT_OK
+    first, _, _ = load_checkpoint(out)
+    second, _, _ = load_checkpoint(tmp_path / "a.ckpt")
+    for k, v in first.tensors().items():
+        np.testing.assert_array_equal(second.tensors()[k], v)
+
+
+def rewrite_header(src, dst, edit):
+    data = src.read_bytes()
+    end = 16 + int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:end])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:])
+
+
+def as_v1(header):
+    header["version"] = 1
+    del header["features"]
+    header["tensors"] = []
+
+
+BAD_CHECKPOINTS = {
+    "truncated": (None, "truncated"),
+    "v1": (as_v1, "version 1 is not supported"),
+    "unknown-key": (lambda h: h.update(extra=1), "unknown keys \\['extra'\\]"),
+    "missing-key": (lambda h: h.pop("lineage"), "missing keys \\['lineage'\\]"),
+    "dim-mismatch": (lambda h: h["features"].update(n_bands=4), "12-dim"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_CHECKPOINTS))
+@pytest.mark.parametrize("command", ["decode", "adapt"])
+def test_bad_checkpoint_is_a_config_error(ws, tmp_path, capsys, kind, command):
+    edit, message = BAD_CHECKPOINTS[kind]
+    bad = tmp_path / "bad.ckpt"
+    if edit is None:
+        bad.write_bytes((ws / "ste.ckpt").read_bytes()[:3000])
+    else:
+        rewrite_header(ws / "ste.ckpt", bad, edit)
+    if command == "decode":
+        code = run("decode", "--ckpt", bad, "--corpus", ws / "unlab/manifest.json",
+                   "--out", tmp_path / "h.json")
+    else:
+        code = run("adapt", "--ckpt", bad, "--condition", "no-adapt", "--out", tmp_path / "a.ckpt")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert re.search(message, err)
+
+
+def test_missing_hypothesis_id_is_a_config_error(ws, tmp_path, capsys):
+    hyps = json.loads((ws / "hypsA.json").read_text())
+    gone = sorted(hyps)[1]
+    del hyps[gone]
+    (tmp_path / "partial.json").write_text(json.dumps(hyps))
+    inputs = dict(all_inputs(ws), hyps_a=tmp_path / "partial.json")
+    assert adapt(ws, "mh-ctc", tmp_path / "a.ckpt", **inputs) == EXIT_CONFIG
+    assert f"no sysA hypothesis for unlabeled utterance '{gone}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("condition,flags", [
+    ("supervised-labeled", "--labeled"),
+    ("mh-ctc", "--unlabeled, --hyps-b"),
+])
+def test_missing_adapt_input_is_a_config_error(ws, tmp_path, capsys, condition, flags):
+    inputs = {"hyps_a": ws / "hypsA.json"}
+    assert adapt(ws, condition, tmp_path / "a.ckpt", **inputs) == EXIT_CONFIG
+    assert f"{condition} requires {flags}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hyps,message", [
+    ([[1, 2]], "expected a JSON object"),
+    ({"utt0000": ["x"]}, "must hold integers"),
+])
+def test_malformed_hypothesis_file_is_a_config_error(ws, tmp_path, capsys, hyps, message):
+    (tmp_path / "bad.json").write_text(json.dumps(hyps))
+    assert run("score", "--ref", ws / "hypsA.json", "--hyp", tmp_path / "bad.json") == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_non_positive_band_count_is_a_config_error(ws, tmp_path, capsys):
+    assert run("train", "--corpus", ws / "train/manifest.json", "--n-bands", 0,
+               "--out", tmp_path / "m.ckpt") == EXIT_CONFIG
+    assert "n_bands must be a positive integer" in capsys.readouterr().err
+
+
+def test_too_short_waveform_is_a_stage_failure(ws, tmp_path, capsys):
+    corpus, alphabet = load_corpus(ws / "unlab/manifest.json")
+    corpus[0].waveform = corpus[0].waveform[:50]  # shorter than one 25 ms frame
+    save_corpus(corpus, alphabet, tmp_path / "short")
+    assert run("decode", "--ckpt", ws / "ste.ckpt", "--corpus", tmp_path / "short/manifest.json",
+               "--out", tmp_path / "h.json") == EXIT_STAGE
+    assert "stage failure: TooShort" in capsys.readouterr().err

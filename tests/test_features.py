@@ -18,9 +18,7 @@ from mhctc.features import (
     compute_deltas,
     extract,
     fbank,
-    load_features,
     mel_center_frequencies,
-    save_features,
     ste,
 )
 
@@ -148,15 +146,6 @@ class TestSte:
 
 
 class TestFeatureCache:
-    def test_round_trip(self, tmp_path):
-        cfg = FeatureConfig(kind="fbank")
-        feats = fbank(tone(900.0), cfg)
-        path = tmp_path / "f.bin"
-        save_features(feats, cfg, path)
-        loaded, chash = load_features(path)
-        np.testing.assert_array_equal(loaded, feats)
-        assert len(chash) == 16
-
     def test_extract_dispatch(self):
         u = tone(700.0)
         np.testing.assert_array_equal(

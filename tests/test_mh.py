@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mhctc.ctc import ctc_loss, ctc_loss_bruteforce
+from mhctc.ctc import ctc_loss
 from mhctc.errors import InfeasibleAlignment, InvalidInput
-from mhctc.mh import HypothesisSet, mh_ctc_loss, product_form_check
+from mhctc.mh import HypothesisSet, mh_ctc_loss
 
-from helpers import random_instance, random_logp
+from helpers import ctc_loss_bruteforce, product_form_check, random_instance, random_logp
 
 
 def hs(*hyps):

@@ -3,6 +3,7 @@ import pytest
 
 from mhctc.ctc import ctc_loss
 from mhctc.errors import ShapeError
+from mhctc.features import FeatureConfig
 from mhctc.mh import HypothesisSet
 from mhctc.model import (
     ModelConfig,
@@ -161,9 +162,11 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         m = with_lineage(tiny_model(seed=5), "test-stage")
         path = tmp_path / "m.ckpt"
-        save_checkpoint(m, path, alphabet_symbols=("a", "b"))
-        loaded, symbols = load_checkpoint(path)
+        fcfg = FeatureConfig(kind="ste", n_bands=1)
+        save_checkpoint(m, path, fcfg, alphabet_symbols=("a", "b"))
+        loaded, symbols, loaded_fcfg = load_checkpoint(path)
         assert symbols == ("a", "b")
+        assert loaded_fcfg == fcfg
         assert loaded.config == m.config
         assert loaded.lineage == m.lineage
         np.testing.assert_array_equal(flatten(loaded), flatten(m))
@@ -171,6 +174,6 @@ class TestCheckpoint:
     def test_byte_identical_rewrites(self, tmp_path):
         m = tiny_model(seed=6)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(m, p1)
-        save_checkpoint(m, p2)
+        save_checkpoint(m, p1, FeatureConfig(n_bands=1))
+        save_checkpoint(m, p2, FeatureConfig(n_bands=1))
         assert p1.read_bytes() == p2.read_bytes()

@@ -6,12 +6,13 @@ from mhctc.alphabet import LabelAlphabet
 from mhctc.audio import SynthConfig, synth_corpus
 from mhctc.ctc import ctc_loss
 from mhctc.errors import ConfigError, SizeError
+from mhctc.features import FeatureConfig
 from mhctc.mh import HypothesisSet, mh_ctc_loss
 from mhctc.model import forward, load_checkpoint
 from mhctc.pipeline import (
     CONDITIONS,
     ExperimentPlan,
-    _condition_dataset,
+    condition_dataset,
     make_splits,
     run_adaptation_condition,
     run_experiment,
@@ -151,30 +152,38 @@ class TestConditionDatasets:
 
     def test_supervised_labeled_size(self):
         cache, sys_a, split, hyps = self._setup()
-        data = _condition_dataset("supervised-labeled", split, hyps, hyps, sys_a, cache)
+        data = condition_dataset("supervised-labeled", split, hyps, hyps, sys_a, cache)
         assert len(data) == 4
 
     def test_supervised_all_uses_ground_truth(self):
         cache, sys_a, split, hyps = self._setup()
-        data = _condition_dataset("supervised-all", split, hyps, hyps, sys_a, cache)
+        data = condition_dataset("supervised-all", split, hyps, hyps, sys_a, cache)
         assert len(data) == 10
         truths = [u.labels for u in split.unlabeled]
         assert [t for _, t in data[4:]] == truths
 
     def test_mh_targets_are_hypothesis_sets(self):
         cache, sys_a, split, hyps = self._setup()
-        data = _condition_dataset("mh-ctc", split, hyps, hyps, sys_a, cache)
+        data = condition_dataset("mh-ctc", split, hyps, hyps, sys_a, cache)
         manual, pseudo = data[:4], data[4:]
         assert all(isinstance(t, HypothesisSet) and len(t.hypotheses) == 1 for _, t in manual)
         assert all(isinstance(t, HypothesisSet) and len(t.hypotheses) == 2 for _, t in pseudo)
         assert pseudo[0][1].source_tags == ("sysA", "sysB")
 
+    def test_missing_hypothesis_id_is_named(self):
+        cache, sys_a, split, hyps = self._setup()
+        gone = split.unlabeled[2].id
+        partial = {k: v for k, v in hyps.items() if k != gone}
+        for condition in ("semi-sup-B", "mh-ctc"):
+            with pytest.raises(ConfigError, match=f"sysB hypothesis .*{gone}"):
+                condition_dataset(condition, split, hyps, partial, sys_a, cache)
+
     def test_identical_hypotheses_double_the_loss(self):
         # with H_A == H_B the combined loss on every unlabeled utterance is
         # exactly twice the single-hypothesis loss
         cache, sys_a, split, hyps = self._setup()
-        mh = _condition_dataset("mh-ctc", split, hyps, hyps, sys_a, cache)
-        single = _condition_dataset("semi-sup-A", split, hyps, hyps, sys_a, cache)
+        mh = condition_dataset("mh-ctc", split, hyps, hyps, sys_a, cache)
+        single = condition_dataset("semi-sup-A", split, hyps, hyps, sys_a, cache)
         for (x, hs), (_, labels) in zip(mh[4:], single[4:]):
             logp = forward(sys_a.params, x)
             combined = mh_ctc_loss(logp, hs).loss
@@ -213,8 +222,9 @@ class TestScenarioAndReport:
         assert set(out["pseudo_label_wer"]) == {"sysA", "sysB"}
         ckpts = sorted(p.name for p in (tmp_path / "clean-train" / "seed0").glob("*.ckpt"))
         assert ckpts == sorted(f"{c}.ckpt" for c in CONDITIONS)
-        params, symbols = load_checkpoint(tmp_path / "clean-train" / "seed0" / "mh-ctc.ckpt")
+        params, symbols, fcfg = load_checkpoint(tmp_path / "clean-train" / "seed0" / "mh-ctc.ckpt")
         assert symbols == ALPHA.symbols
+        assert fcfg == FeatureConfig(kind="fbank", n_bands=TINY.n_bands_fbank)
         assert params.lineage[-1] == "adapt:mh-ctc:seed=0"
 
     def test_hypotheses_persisted(self, tmp_path):
