@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .alphabet import LabelAlphabet
-from .errors import ConfigError, InvalidInput
+from .errors import ConfigError, InvalidInput, check_ints
 
 NOISE_KINDS = ("none", "white", "babble", "bandlimited")
 
@@ -34,6 +34,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"noise_kind must be one of {NOISE_KINDS}")
+        check_ints(0, seed=self.seed)
 
 
 @dataclass
@@ -157,8 +158,9 @@ def synth_utterance(cfg, uid, length, seed_seq):
 def synth_corpus(cfg, n_utts, len_range=(4, 10), id_prefix="utt"):
     """Deterministic corpus: per-utterance seeds spawned from cfg.seed."""
     lmin, lmax = len_range
-    if lmin < 1:
-        raise ConfigError("minimum transcription length is 1")
+    check_ints(0, n_utts=n_utts)
+    if not 1 <= lmin <= lmax:
+        raise ConfigError(f"transcription lengths need 1 <= min <= max, got {lmin}..{lmax}")
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(n_utts)
     # lengths drawn from a dedicated stream so they do not perturb rendering

@@ -6,10 +6,14 @@ to C (remove repeats, then blanks).  The DP runs over the extended label
 sequence (blank, c_1, blank, ..., c_L, blank) with the usual
 stay / advance-one / advance-two transition rule.
 
-All arithmetic is in log space, double precision.  ``ctc_loss`` returns
-the exact gradient with respect to the input log-probabilities; use
-``logits_gradient`` to map it through the log-softmax Jacobian when the
-rows were produced from unnormalized scores.
+One recursion serves both passes: beta is alpha of the time- and
+state-reversed lattice (Graves et al. 2006, sec. 4.1).
+
+All arithmetic is in log space, double precision, with no floor on the
+log-probabilities.  ``ctc_loss`` returns the exact gradient with respect
+to the input log-probabilities; use ``logits_gradient`` to map it through
+the log-softmax Jacobian when the rows were produced from unnormalized
+scores.
 """
 
 from dataclasses import dataclass
@@ -18,9 +22,6 @@ import numpy as np
 
 from .alphabet import BLANK, validate_transcription
 from .errors import InfeasibleAlignment, InvalidInput
-
-MIN_PROB = 1e-30
-LOG_FLOOR = float(np.log(MIN_PROB))
 
 NEG_INF = -np.inf
 
@@ -63,7 +64,28 @@ def _check_logp(logp):
     rowsum = np.max(np.abs(np.logaddexp.reduce(logp, axis=1)))
     if rowsum > 1e-6:
         raise InvalidInput(f"logp rows are not normalized (max |logsumexp| = {rowsum:.3g})")
-    return np.maximum(logp, LOG_FLOOR)
+    return logp
+
+
+def _forward(em, ext):
+    """Log-space forward lattice over the extended labels ``ext``.
+
+    alpha[t, s] is the log mass of every path prefix that ends in state s
+    at frame t, frame t's emission included.
+    """
+    # advance-two is allowed into label states whose label differs across
+    # the blank; blank states never qualify, as both ends are blanks
+    skip_to = np.flatnonzero(ext[2:] != ext[:-2]) + 2
+    skip_from = skip_to - 2
+    alpha = np.full(em.shape, NEG_INF)
+    alpha[0, :2] = em[0, :2]
+    for t in range(1, em.shape[0]):
+        prev = alpha[t - 1]
+        acc = prev.copy()
+        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
+        acc[skip_to] = np.logaddexp(acc[skip_to], prev[skip_from])
+        alpha[t] = acc + em[t]
+    return alpha
 
 
 def ctc_loss(logp, labels):
@@ -83,50 +105,18 @@ def ctc_loss(logp, labels):
         )
 
     ext = expand_labels(labels)
-    S = ext.size
     em = lp[:, ext]  # T x S per-state emissions
-
-    # advance-two is allowed into odd states whose label differs across the blank
-    allow2 = np.zeros(S, dtype=bool)
-    if S > 2:
-        allow2[2:] = ext[2:] != ext[:-2]
-        allow2[2::2] = False  # never skip into a blank
-    skip_to = np.nonzero(allow2)[0]
-    skip_from = skip_to - 2
-
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = em[0, 0]
-    if S > 1:
-        alpha[0, 1] = em[0, 1]
-    for t in range(1, T):
-        prev = alpha[t - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        if skip_to.size:
-            acc[skip_to] = np.logaddexp(acc[skip_to], prev[skip_from])
-        alpha[t] = acc + em[t]
+    alpha = _forward(em, ext)
+    beta = _forward(np.ascontiguousarray(em[::-1, ::-1]), ext[::-1])[::-1, ::-1]
 
     log_p = alpha[-1, -1]
-    if S > 1:
+    if ext.size > 1:
         log_p = np.logaddexp(log_p, alpha[-1, -2])
-
-    beta = np.full((T, S), NEG_INF)
-    beta[-1, -1] = em[-1, -1]
-    if S > 1:
-        beta[-1, -2] = em[-1, -2]
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1]
-        acc = nxt.copy()
-        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
-        if skip_to.size:
-            acc[skip_from] = np.logaddexp(acc[skip_from], nxt[skip_to])
-        beta[t] = acc + em[t]
 
     # state occupancies: alpha and beta both include frame t's emission
     occ = np.exp(alpha + beta - em - log_p)
     grad = np.zeros_like(lp)
-    for s in range(S):
-        grad[:, ext[s]] -= occ[:, s]
+    np.subtract.at(grad, (slice(None), ext), occ)
 
     loss = float(-log_p)
     return LossResult(loss, grad, [loss])

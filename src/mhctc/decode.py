@@ -46,6 +46,11 @@ def greedy_decode(logp):
     return DecodedHypothesis(labels=labels, log_prob=-ctc_loss(logp, labels).loss)
 
 
+def _rank(beam):
+    """Sort key of a (prefix, masses) beam: higher total mass, then smaller prefix."""
+    return -np.logaddexp(*beam[1]), beam[0]
+
+
 def beam_decode(logp, cfg=DecodeConfig()):
     """Standard CTC prefix beam search; returns the best final prefix."""
     logp = np.asarray(logp, dtype=np.float64)
@@ -70,13 +75,8 @@ def beam_decode(logp, cfg=DecodeConfig()):
                     bump(prefix + (k,), 1, pb + row[k])
                 else:
                     bump(prefix + (k,), 1, total + row[k])
-        ranked = sorted(
-            nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0])
-        )
-        beams = dict(ranked[: cfg.beam_width])
-    best, (pb, pnb) = min(
-        beams.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0])
-    )
+        beams = dict(sorted(nxt.items(), key=_rank)[: cfg.beam_width])
+    best, (pb, pnb) = next(iter(beams.items()))  # beams are kept in rank order
     return DecodedHypothesis(labels=best, log_prob=float(np.logaddexp(pb, pnb)))
 
 

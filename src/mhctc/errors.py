@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-field check."""
 
 
 class MhctcError(Exception):
@@ -47,3 +47,11 @@ class SizeError(MhctcError):
 
 class ConfigError(MhctcError):
     """Invalid or inconsistent configuration."""
+
+
+def check_ints(minimum, **values):
+    """Raise ConfigError unless every value is an int of at least ``minimum`` (0 or 1)."""
+    for name, value in values.items():
+        if type(value) is not int or value < minimum:
+            kind = "positive" if minimum == 1 else "non-negative"
+            raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import butter, filtfilt
 
-from .errors import ConfigError, TooShort
+from .errors import ConfigError, TooShort, check_ints
 
 LOG_FLOOR_VALUE = 1e-10
 
@@ -30,8 +30,7 @@ class FeatureConfig:
     def __post_init__(self):
         if self.kind not in ("fbank", "ste"):
             raise ConfigError("feature kind must be 'fbank' or 'ste'")
-        if type(self.n_bands) is not int or self.n_bands < 1:
-            raise ConfigError(f"n_bands must be a positive integer, got {self.n_bands!r}")
+        check_ints(1, n_bands=self.n_bands)
 
     @property
     def dim(self):

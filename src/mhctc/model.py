@@ -14,7 +14,9 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .ctc import ctc_loss, logits_gradient
-from .errors import ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, ShapeError
+from .errors import (
+    ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, ShapeError, check_ints,
+)
 from .features import FeatureConfig
 from .mh import HypothesisSet, mh_ctc_loss
 
@@ -32,6 +34,10 @@ class ModelConfig:
     context: int = 4
     hidden: int = 128
     seed: int = 0
+
+    def __post_init__(self):
+        check_ints(1, feat_dim=self.feat_dim, n_outputs=self.n_outputs, hidden=self.hidden)
+        check_ints(0, context=self.context, seed=self.seed)
 
 
 @dataclass
@@ -64,6 +70,10 @@ class TrainConfig:
     batch_size: int = 4
     seed: int = 0
     grad_clip: float = 5.0
+
+    def __post_init__(self):
+        check_ints(0, epochs=self.epochs, seed=self.seed)
+        check_ints(1, batch_size=self.batch_size)
 
 
 def _tensor_shapes(config):
@@ -300,9 +310,6 @@ def load_checkpoint(path):
         feature_cfg = FeatureConfig(**header["features"])
     except (TypeError, ConfigError) as exc:
         raise InvalidInput(f"{path}: bad checkpoint config: {exc}") from exc
-    dims = (config.feat_dim, config.n_outputs, config.context, config.hidden)
-    if not all(type(v) is int and v >= 0 for v in dims):
-        raise InvalidInput(f"{path}: model dimensions must be non-negative integers")
     if feature_cfg.dim != config.feat_dim:
         raise InvalidInput(
             f"{path}: {feature_cfg.kind} features are {feature_cfg.dim}-dim,"

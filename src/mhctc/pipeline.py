@@ -127,7 +127,7 @@ def make_splits(corpus, sizes, seed):
 def _features_for(system, utts, cache):
     feats = []
     for u in utts:
-        key = (system.feature_cfg.kind, u.id)
+        key = (system.feature_cfg, u.id)
         if key not in cache:
             cache[key] = cmn(extract(u, system.feature_cfg))
         feats.append(cache[key])
@@ -201,21 +201,14 @@ def condition_dataset(condition, split, hyps_a, hyps_b, system, cache):
     if condition == "semi-sup-B":
         return labeled + list(zip(unlab_feats, _pseudo_labels(hyps_b, split.unlabeled, "sysB")))
     if condition == "mh-ctc":
-        # manual transcriptions ride along as N=1 sets so one loss path
-        # handles the whole mixed batch
         pairs = zip(
             _pseudo_labels(hyps_a, split.unlabeled, "sysA"),
             _pseudo_labels(hyps_b, split.unlabeled, "sysB"),
         )
-        data = [
-            (x, HypothesisSet(hypotheses=(labels,), source_tags=("manual",)))
-            for x, labels in labeled
-        ]
-        data += [
+        return labeled + [
             (x, HypothesisSet(hypotheses=ab, source_tags=("sysA", "sysB")))
             for x, ab in zip(unlab_feats, pairs)
         ]
-        return data
     raise ConfigError(f"unknown condition {condition!r}")
 
 

@@ -202,6 +202,28 @@ def test_non_positive_band_count_is_a_config_error(ws, tmp_path, capsys):
     assert "n_bands must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("synth", ["--n-utts", -1], "n_utts must be a non-negative integer"),
+    ("synth", ["--seed", -1], "seed must be a non-negative integer"),
+    ("synth", ["--len-min", 5, "--len-max", 3], "1 <= min <= max, got 5..3"),
+    ("train", ["--batch-size", 0], "batch_size must be a positive integer"),
+    ("train", ["--seed", -1], "seed must be a non-negative integer"),
+    ("train", ["--context", -1], "context must be a non-negative integer"),
+    ("train", ["--epochs", -1], "epochs must be a non-negative integer"),
+    ("train", ["--hidden", 0], "hidden must be a positive integer"),
+], ids=["n-utts", "synth-seed", "len-range", "batch-size", "train-seed", "context", "epochs",
+        "hidden"])
+def test_bad_numeric_flag_is_a_config_error(ws, tmp_path, capsys, command, flags, message):
+    if command == "synth":
+        argv = ["synth", "--out", tmp_path / "c", "--n-utts", 2]
+    else:
+        argv = ["train", "--corpus", ws / "train/manifest.json", "--out", tmp_path / "m.ckpt"]
+    assert run(*argv, *flags) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_too_short_waveform_is_a_stage_failure(ws, tmp_path, capsys):
     corpus, alphabet = load_corpus(ws / "unlab/manifest.json")
     corpus[0].waveform = corpus[0].waveform[:50]  # shorter than one 25 ms frame

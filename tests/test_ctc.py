@@ -9,7 +9,6 @@ from mhctc.ctc import (
     expand_labels,
     logits_gradient,
     min_frames,
-    LOG_FLOOR,
 )
 from mhctc.errors import (
     InfeasibleAlignment,
@@ -53,6 +52,13 @@ class TestCtcLoss:
         logp = np.log(np.array([[0.4, 0.6]]))
         res = ctc_loss(logp, [1])
         assert res.loss == pytest.approx(-math.log(0.6), rel=1e-12)
+
+    def test_log_probs_below_old_floor_are_exact(self):
+        # the only path emits label 1 at log-prob -100, far below log(1e-30)
+        logp = np.array([[math.log1p(-math.exp(-100.0)), -100.0]])
+        res = ctc_loss(logp, [1])
+        assert res.loss == 100.0
+        assert res.grad[0, 1] == -1.0
 
     def test_two_frame_uniform(self):
         # paths (a,a), (a,-), (-,a): 3 * 0.25
@@ -147,8 +153,9 @@ class TestProperties:
         rng = np.random.default_rng(9)
         logp, labels = random_instance(rng)
         base = ctc_loss(logp, labels).loss
-        pure_blank = np.full(logp.shape[1], LOG_FLOOR)
-        pure_blank[BLANK] = math.log1p(-np.exp(LOG_FLOOR) * (logp.shape[1] - 1))
+        log_floor = math.log(1e-30)
+        pure_blank = np.full(logp.shape[1], log_floor)
+        pure_blank[BLANK] = math.log1p(-np.exp(log_floor) * (logp.shape[1] - 1))
         extended = np.vstack([logp, pure_blank])
         assert ctc_loss(extended, labels).loss == pytest.approx(base, abs=1e-9)
 

@@ -12,6 +12,7 @@ from mhctc.model import forward, load_checkpoint
 from mhctc.pipeline import (
     CONDITIONS,
     ExperimentPlan,
+    System,
     condition_dataset,
     make_splits,
     run_adaptation_condition,
@@ -166,9 +167,18 @@ class TestConditionDatasets:
         cache, sys_a, split, hyps = self._setup()
         data = condition_dataset("mh-ctc", split, hyps, hyps, sys_a, cache)
         manual, pseudo = data[:4], data[4:]
-        assert all(isinstance(t, HypothesisSet) and len(t.hypotheses) == 1 for _, t in manual)
+        assert [t for _, t in manual] == [u.labels for u in split.labeled]
         assert all(isinstance(t, HypothesisSet) and len(t.hypotheses) == 2 for _, t in pseudo)
         assert pseudo[0][1].source_tags == ("sysA", "sysB")
+
+    def test_feature_cache_keys_on_the_front_end(self):
+        # two front ends of one kind share a cache; each must get its own features
+        split = make_splits(tiny_corpus(), (4, 6, 8), seed=0)
+        cache = {}
+        for n_bands in (16, 12):
+            system = System(name="a", feature_cfg=FeatureConfig(n_bands=n_bands), params=None)
+            data = condition_dataset("supervised-labeled", split, {}, {}, system, cache)
+            assert {x.shape[1] for x, _ in data} == {3 * n_bands}
 
     def test_missing_hypothesis_id_is_named(self):
         cache, sys_a, split, hyps = self._setup()
