@@ -35,6 +35,7 @@ class SynthConfig:
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"noise_kind must be one of {NOISE_KINDS}")
         check_ints(0, seed=self.seed)
+        symbol_band_centers(self.alphabet, self.sample_rate)  # raises if the alphabet does not fit
 
 
 @dataclass
@@ -202,10 +203,14 @@ def save_corpus(corpus, alphabet, out_dir):
 
 
 def load_corpus(manifest_path):
-    """Read a manifest written by save_corpus."""
+    """Read a manifest written by save_corpus; utterance ids must be unique."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
     alphabet = LabelAlphabet(tuple(manifest["alphabet"]))
+    ids = [rec["id"] for rec in manifest["utterances"]]
+    if len(set(ids)) != len(ids):
+        dup = next(i for i in ids if ids.count(i) > 1)
+        raise ConfigError(f"{manifest_path}: duplicate utterance id {dup!r}")
     corpus = []
     for rec in manifest["utterances"]:
         with wave.open(str(manifest_path.parent / rec["path"]), "rb") as w:

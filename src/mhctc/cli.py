@@ -15,33 +15,27 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .alphabet import LabelAlphabet
 from .audio import NOISE_KINDS, SynthConfig, load_corpus, save_corpus, synth_corpus
 from .decode import DecodeConfig, decode
 from .errors import ConfigError, InvalidInput, InvalidLabel, MhctcError, SizeError
-from .features import FeatureConfig, cmn, extract
-from .model import (
-    ModelConfig,
-    TrainConfig,
-    format_curve,
-    forward,
-    init_model,
-    load_checkpoint,
-    save_checkpoint,
-    sgd_train,
-    with_lineage,
-)
+from .features import FeatureConfig
+from .model import TrainConfig, load_checkpoint, save_checkpoint
 from .pipeline import (
     CONDITIONS,
     AdaptationSplit,
     ExperimentPlan,
     System,
     condition_dataset,
+    decode_set,
     format_report,
+    init_system,
+    labeled_data,
     run_experiment,
+    train_system,
 )
 from .score import score_corpus
 
@@ -61,15 +55,14 @@ ADAPT_INPUTS = {
 }
 
 
-def _train_args(p):
-    p.add_argument("--learning-rate", type=float, default=0.02)
-    p.add_argument("--epochs", type=int, default=14)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--grad-clip", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
+def _train_args(p, defaults):
+    """One flag per TrainConfig field, with the values of ``defaults``."""
+    for name, value in asdict(defaults).items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
 
 
 def build_parser():
+    plan = ExperimentPlan()  # train, adapt and decode default to the grid's values
     parser = argparse.ArgumentParser(prog="mhctc")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -91,10 +84,10 @@ def build_parser():
     p.add_argument("--corpus", required=True, help="manifest.json of a corpus")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--features", choices=("fbank", "ste"), default="fbank")
-    p.add_argument("--n-bands", type=int, default=16)
-    p.add_argument("--context", type=int, default=4)
-    p.add_argument("--hidden", type=int, default=128)
-    _train_args(p)
+    p.add_argument("--n-bands", type=int, default=plan.n_bands_fbank)
+    p.add_argument("--context", type=int, default=plan.context)
+    p.add_argument("--hidden", type=int, default=plan.hidden)
+    _train_args(p, plan.train_cfg("train", seed=0))
 
     p = sub.add_parser("adapt", help="adapt a model under one condition")
     p.add_argument("--ckpt", required=True, help="initial model checkpoint")
@@ -104,14 +97,14 @@ def build_parser():
     p.add_argument("--unlabeled", help="manifest.json of the unlabeled subset")
     p.add_argument("--hyps-a", help="system-A hypothesis JSON for the unlabeled subset")
     p.add_argument("--hyps-b", help="system-B hypothesis JSON for the unlabeled subset")
-    _train_args(p)
+    _train_args(p, plan.train_cfg("adapt", seed=0))
 
     p = sub.add_parser("decode", help="decode a corpus")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True, help="manifest.json of a corpus")
     p.add_argument("--out", required=True, help="output hypothesis JSON")
     p.add_argument("--mode", choices=("greedy", "beam"), default="beam")
-    p.add_argument("--beam-width", type=int, default=20)
+    p.add_argument("--beam-width", type=int, default=plan.beam_width)
 
     p = sub.add_parser("score", help="score hypotheses against references")
     p.add_argument("--ref", required=True, help="reference JSON (id -> label list)")
@@ -152,32 +145,18 @@ def cmd_synth(args):
 
 def cmd_train(args):
     corpus, alphabet = load_corpus(args.corpus)
+    train_cfg = _train_cfg_from(args)
     fcfg = FeatureConfig(kind=args.features, n_bands=args.n_bands)
-    mcfg = ModelConfig(
-        feat_dim=fcfg.dim,
-        n_outputs=alphabet.n_outputs,
-        context=args.context,
-        hidden=args.hidden,
-        seed=args.seed,
-    )
-    params = init_model(mcfg)
-    data = [(cmn(extract(u, fcfg)), u.labels) for u in corpus]
-    params, curve = sgd_train(params, data, _train_cfg_from(args))
-    params = with_lineage(params, f"cli-train:{args.features}:seed={args.seed}")
-    save_checkpoint(params, args.out, fcfg, alphabet_symbols=alphabet.symbols)
-    print(f"trained {args.features} model: loss {format_curve(curve)}")
+    system = init_system("cli", fcfg, alphabet.n_outputs, args.context, args.hidden, args.seed)
+    step = f"cli-train:{args.features}:seed={args.seed}"
+    system = train_system(system, labeled_data(system, corpus, {}), train_cfg, step)
+    save_checkpoint(system.params, args.out, fcfg, alphabet_symbols=alphabet.symbols)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
 
 
 def _train_cfg_from(args):
-    return TrainConfig(
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        grad_clip=args.grad_clip,
-    )
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _load_utts(path):
@@ -202,10 +181,9 @@ def cmd_adapt(args):
     hyps_b = _load_hyps(args.hyps_b) if args.hyps_b else {}
     system = System(name="cli", feature_cfg=fcfg, params=params)
     data = condition_dataset(args.condition, split, hyps_a, hyps_b, system, {})
-    params, curve = sgd_train(params, data, _train_cfg_from(args))
-    params = with_lineage(params, f"cli-adapt:{args.condition}:seed={args.seed}")
-    save_checkpoint(params, args.out, fcfg, alphabet_symbols=symbols)
-    print(f"adapted ({args.condition}): loss {format_curve(curve)}")
+    step = f"cli-adapt:{args.condition}:seed={args.seed}"
+    system = train_system(system, data, _train_cfg_from(args), step)
+    save_checkpoint(system.params, args.out, fcfg, alphabet_symbols=symbols)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
 
@@ -214,10 +192,9 @@ def cmd_decode(args):
     params, _, fcfg = load_checkpoint(args.ckpt)
     corpus, _ = load_corpus(args.corpus)
     dcfg = DecodeConfig(beam_width=args.beam_width, mode=args.mode)
-    out = {}
-    for u in corpus:
-        hyp = decode(forward(params, cmn(extract(u, fcfg))), dcfg)
-        out[u.id] = [int(v) for v in hyp.labels]
+    system = System(name="cli", feature_cfg=fcfg, params=params)
+    hyps = decode_set(system, corpus, lambda logp: decode(logp, dcfg), {})
+    out = {uid: [int(v) for v in labels] for uid, labels in hyps.items()}
     Path(args.out).write_text(json.dumps(out, indent=2, sort_keys=True))
     print(f"decoded {len(out)} utterances to {args.out}")
     return EXIT_OK
@@ -248,10 +225,10 @@ def cmd_experiment(args):
         overrides = json.loads(Path(args.config).read_text())
         if not isinstance(overrides, dict):
             raise ConfigError("experiment config must be a JSON object")
-    for key in ("scenarios", "conditions", "seeds", "split_sizes", "len_range"):
-        if key in overrides:
-            overrides[key] = tuple(overrides[key])
     try:
+        for key in ("scenarios", "conditions", "seeds", "split_sizes", "len_range"):
+            if key in overrides:
+                overrides[key] = tuple(overrides[key])
         plan = ExperimentPlan(**overrides)
     except TypeError as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc

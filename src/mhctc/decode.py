@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import BLANK
-from .ctc import collapse_path, ctc_loss
+from .ctc import collapse_path, ctc_loss  # noqa: F401 (perfbench/tracing.py rebinds ctc_loss here)
 from .errors import ConfigError
 
 NEG_INF = -np.inf
@@ -37,13 +37,13 @@ class DecodedHypothesis:
 def greedy_decode(logp):
     """Per-frame argmax, collapse repeats, strip blanks.
 
-    log_prob is the full CTC score of the collapsed labeling (all paths),
-    not the single best path's score.  np.argmax breaks ties toward the
-    lowest class index.
+    log_prob is the log-probability of the best path itself, not the CTC
+    score of the collapsed labeling summed over all its paths.  np.argmax
+    breaks ties toward the lowest class index.
     """
     logp = np.asarray(logp, dtype=np.float64)
     labels = collapse_path(np.argmax(logp, axis=1))
-    return DecodedHypothesis(labels=labels, log_prob=-ctc_loss(logp, labels).loss)
+    return DecodedHypothesis(labels=labels, log_prob=float(logp.max(axis=1).sum()))
 
 
 def _rank(beam):

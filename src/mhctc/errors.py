@@ -50,8 +50,10 @@ class ConfigError(MhctcError):
 
 
 def check_ints(minimum, **values):
-    """Raise ConfigError unless every value is an int of at least ``minimum`` (0 or 1)."""
+    """Raise ConfigError unless every value (or item of a tuple or list) is an int >= minimum."""
     for name, value in values.items():
-        if type(value) is not int or value < minimum:
+        many = isinstance(value, (tuple, list))
+        if any(type(v) is not int or v < minimum for v in (value if many else [value])):
             kind = "positive" if minimum == 1 else "non-negative"
-            raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
+            what = f"{kind} integers" if many else f"a {kind} integer"
+            raise ConfigError(f"{name} must be {what}, got {value!r}")

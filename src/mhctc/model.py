@@ -9,6 +9,7 @@ corpus.
 
 import json
 import logging
+import math
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -50,14 +51,7 @@ class ModelParams:
     lineage: tuple = ()
 
     def copy(self):
-        return ModelParams(
-            config=self.config,
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            lineage=self.lineage,
-        )
+        return replace(self, **{k: v.copy() for k, v in self.tensors().items()})
 
     def tensors(self):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -74,6 +68,10 @@ class TrainConfig:
     def __post_init__(self):
         check_ints(0, epochs=self.epochs, seed=self.seed)
         check_ints(1, batch_size=self.batch_size)
+        for name in ("learning_rate", "grad_clip"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def _tensor_shapes(config):
@@ -215,16 +213,13 @@ def sgd_train(params, dataset, cfg):
                 used += 1
             if used == 0:
                 continue
-            if cfg.grad_clip is not None:
-                norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-                if norm > cfg.grad_clip:
-                    scale = cfg.grad_clip / norm
-                    for k in grads:
-                        grads[k] *= scale
-            params.w1 -= cfg.learning_rate * grads["w1"]
-            params.b1 -= cfg.learning_rate * grads["b1"]
-            params.w2 -= cfg.learning_rate * grads["w2"]
-            params.b2 -= cfg.learning_rate * grads["b2"]
+            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            if norm > cfg.grad_clip:
+                scale = cfg.grad_clip / norm
+                for k in grads:
+                    grads[k] *= scale
+            for k, tensor in params.tensors().items():
+                tensor -= cfg.learning_rate * grads[k]
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         if losses and not np.isfinite(mean_loss):
             raise DivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)

@@ -25,7 +25,7 @@ import numpy as np
 from .alphabet import LabelAlphabet
 from .audio import SynthConfig, synth_corpus
 from .decode import DecodeConfig, beam_decode, greedy_decode
-from .errors import ConfigError, SizeError
+from .errors import ConfigError, SizeError, check_ints
 from .features import FeatureConfig, cmn, extract
 from .mh import HypothesisSet
 from .model import (
@@ -95,6 +95,34 @@ class ExperimentPlan:
         for c in self.conditions:
             if c not in CONDITIONS:
                 raise ConfigError(f"unknown condition {c!r}")
+        # build every config the plan derives once, so that a bad value
+        # fails here, before any synthesis, and not inside every grid cell
+        check_ints(1, n_train=self.n_train, len_range=self.len_range)
+        check_ints(0, split_sizes=self.split_sizes, seeds=self.seeds)
+        lengths_ok = len(self.split_sizes) == 3 and len(self.len_range) == 2
+        if not lengths_ok or self.len_range[0] > self.len_range[1]:
+            raise ConfigError("split_sizes must hold 3 sizes and len_range a (min, max) pair")
+        for stage in ("train", "finetune", "adapt"):
+            self.train_cfg(stage, seed=0)
+        alphabet = LabelAlphabet(tuple(self.alphabet))
+        DecodeConfig(beam_width=self.beam_width)
+        for kind in ("fbank", "ste"):
+            ModelConfig(feat_dim=self.feature_cfg(kind).dim, n_outputs=alphabet.n_outputs,
+                        context=self.context, hidden=self.hidden)
+        for noise_kind in (self.noise_kind, self.train_noise_kind):
+            SynthConfig(alphabet=alphabet, noise_kind=noise_kind)
+
+    def train_cfg(self, stage, seed):
+        """TrainConfig of one training stage: "train", "finetune" or "adapt"."""
+        return TrainConfig(
+            learning_rate=self.adapt_learning_rate if stage == "adapt" else self.learning_rate,
+            epochs=getattr(self, f"{stage}_epochs"), batch_size=self.batch_size, seed=seed,
+            grad_clip=self.grad_clip,
+        )
+
+    def feature_cfg(self, kind):
+        n_bands = self.n_bands_fbank if kind == "fbank" else self.n_bands_ste
+        return FeatureConfig(kind=kind, n_bands=n_bands)
 
     def config_hash(self):
         blob = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -134,14 +162,29 @@ def _features_for(system, utts, cache):
     return feats
 
 
-def _train_cfg(plan, epochs, seed, learning_rate=None):
-    return TrainConfig(
-        learning_rate=plan.learning_rate if learning_rate is None else learning_rate,
-        epochs=epochs,
-        batch_size=plan.batch_size,
-        seed=seed,
-        grad_clip=plan.grad_clip,
-    )
+def labeled_data(system, utts, cache):
+    """(features, manual transcription) pairs under ``system``'s front end."""
+    return list(zip(_features_for(system, utts, cache), (u.labels for u in utts)))
+
+
+def init_system(name, feature_cfg, n_outputs, context, hidden, seed):
+    """A freshly initialized model on the front end ``feature_cfg``."""
+    mcfg = ModelConfig(feat_dim=feature_cfg.dim, n_outputs=n_outputs, context=context,
+                       hidden=hidden, seed=seed)
+    return System(name=name, feature_cfg=feature_cfg, params=init_model(mcfg))
+
+
+def train_system(system, data, train_cfg, step):
+    """``system`` trained on (features, target) pairs, with ``step`` appended to its lineage."""
+    params, curve = sgd_train(system.params, data, train_cfg)
+    log.info("%s: loss %s", step, format_curve(curve))
+    return replace(system, params=with_lineage(params, step))
+
+
+def decode_set(system, utts, decoder, cache):
+    """{utterance id: labels} of ``utts``; ``decoder`` maps log-probs to a hypothesis."""
+    feats = _features_for(system, utts, cache)
+    return {u.id: decoder(forward(system.params, x)).labels for x, u in zip(feats, utts)}
 
 
 def run_supervised_stage(sys_a, sys_b, split, plan, seed, cache):
@@ -149,31 +192,25 @@ def run_supervised_stage(sys_a, sys_b, split, plan, seed, cache):
     if not split.labeled:
         log.info("supervised stage skipped: labeled set empty")
         return sys_a, sys_b
-    adapted = []
-    for system in (sys_a, sys_b):
-        feats = _features_for(system, split.labeled, cache)
-        data = [(x, u.labels) for x, u in zip(feats, split.labeled)]
-        params, curve = sgd_train(system.params, data, _train_cfg(plan, plan.finetune_epochs, seed))
-        params = with_lineage(params, f"supervised-stage:{system.name}:seed={seed}")
-        log.info("supervised stage %s: loss %s", system.name, format_curve(curve))
-        adapted.append(replace(system, params=params))
-    return adapted[0], adapted[1]
+    return tuple(
+        train_system(system, labeled_data(system, split.labeled, cache),
+                     plan.train_cfg("finetune", seed),
+                     f"supervised-stage:{system.name}:seed={seed}")
+        for system in (sys_a, sys_b)
+    )
 
 
 def run_pseudo_label_stage(sys_a_hat, sys_b_hat, split, plan, cache):
     """Beam-decode the unlabeled subset with both fine-tuned systems."""
     decode_cfg = DecodeConfig(beam_width=plan.beam_width, mode="beam")
-    hyps = {}
+    hyps = []
     for system in (sys_a_hat, sys_b_hat):
-        feats = _features_for(system, split.unlabeled, cache)
-        out = {}
-        for x, u in zip(feats, split.unlabeled):
-            hyp = beam_decode(forward(system.params, x), decode_cfg)
-            if not hyp.labels:
-                log.info("empty hypothesis from %s for %s", system.name, u.id)
-            out[u.id] = hyp.labels
-        hyps[system.name] = out
-    return hyps[sys_a_hat.name], hyps[sys_b_hat.name]
+        out = decode_set(system, split.unlabeled, lambda logp: beam_decode(logp, decode_cfg), cache)
+        for uid, labels in out.items():
+            if not labels:
+                log.info("empty hypothesis from %s for %s", system.name, uid)
+        hyps.append(out)
+    return hyps[0], hyps[1]
 
 
 def _pseudo_labels(hyps, utts, source):
@@ -189,13 +226,12 @@ def condition_dataset(condition, split, hyps_a, hyps_b, system, cache):
     ``hyps_a`` / ``hyps_b`` map unlabeled utterance ids to the 1-best
     hypotheses of systems A and B; features come from ``system``'s front end.
     """
-    lab_feats = _features_for(system, split.labeled, cache)
-    unlab_feats = _features_for(system, split.unlabeled, cache)
-    labeled = list(zip(lab_feats, (u.labels for u in split.labeled)))
+    labeled = labeled_data(system, split.labeled, cache)
     if condition == "supervised-labeled":
         return labeled
     if condition == "supervised-all":
-        return labeled + list(zip(unlab_feats, (u.labels for u in split.unlabeled)))
+        return labeled + labeled_data(system, split.unlabeled, cache)
+    unlab_feats = _features_for(system, split.unlabeled, cache)
     if condition == "semi-sup-A":
         return labeled + list(zip(unlab_feats, _pseudo_labels(hyps_a, split.unlabeled, "sysA")))
     if condition == "semi-sup-B":
@@ -217,13 +253,8 @@ def run_adaptation_condition(condition, initial_a, split, hyps_a, hyps_b, plan, 
     if condition == "no-adapt":
         return initial_a
     data = condition_dataset(condition, split, hyps_a, hyps_b, initial_a, cache)
-    params, curve = sgd_train(
-        initial_a.params, data,
-        _train_cfg(plan, plan.adapt_epochs, seed, plan.adapt_learning_rate),
-    )
-    params = with_lineage(params, f"adapt:{condition}:seed={seed}")
-    log.info("condition %s: loss %s", condition, format_curve(curve))
-    return replace(initial_a, params=params)
+    step = f"adapt:{condition}:seed={seed}"
+    return train_system(initial_a, data, plan.train_cfg("adapt", seed), step)
 
 
 def evaluate(system, utts, plan, cache):
@@ -233,12 +264,8 @@ def evaluate(system, utts, plan, cache):
     decoding, which ranks the adaptation conditions identically at a
     fraction of the cost.
     """
-    feats = _features_for(system, utts, cache)
-    pairs = []
-    for x, u in zip(feats, utts):
-        hyp = greedy_decode(forward(system.params, x))
-        pairs.append((u.labels, hyp.labels))
-    return score_corpus(pairs)
+    hyps = decode_set(system, utts, greedy_decode, cache)
+    return score_corpus([(u.labels, hyps[u.id]) for u in utts])
 
 
 def _build_systems(plan, scenario, seed, alphabet, cache):
@@ -258,26 +285,15 @@ def _build_systems(plan, scenario, seed, alphabet, cache):
             plan.n_train - half, plan.len_range, id_prefix="trn",
         )
         train_corpus = clean + noisy
-    bands = {"fbank": plan.n_bands_fbank, "ste": plan.n_bands_ste}
     systems = []
-    for name, kind in (("sysA", "fbank"), ("sysB", "ste")):
-        fcfg = FeatureConfig(kind=kind, n_bands=bands[kind])
-        mcfg = ModelConfig(
-            feat_dim=fcfg.dim,
-            n_outputs=alphabet.n_outputs,
-            context=plan.context,
-            hidden=plan.hidden,
-            seed=seed * 10 + (0 if name == "sysA" else 1),
+    for i, (name, kind) in enumerate((("sysA", "fbank"), ("sysB", "ste"))):
+        system = init_system(
+            name, plan.feature_cfg(kind), alphabet.n_outputs, plan.context, plan.hidden,
+            seed * 10 + i,
         )
-        system = System(name=name, feature_cfg=fcfg, params=init_model(mcfg))
-        feats = _features_for(system, train_corpus, cache)
-        data = [(x, u.labels) for x, u in zip(feats, train_corpus)]
-        params, curve = sgd_train(
-            system.params, data, _train_cfg(plan, plan.train_epochs, seed)
-        )
-        params = with_lineage(params, f"train:{scenario}:{name}:seed={seed}")
-        log.info("trained %s (%s): loss %s", name, scenario, format_curve(curve))
-        systems.append(replace(system, params=params))
+        data = labeled_data(system, train_corpus, cache)
+        step = f"train:{scenario}:{name}:seed={seed}"
+        systems.append(train_system(system, data, plan.train_cfg("train", seed), step))
     return systems[0], systems[1]
 
 

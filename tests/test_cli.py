@@ -2,15 +2,17 @@
 
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 from mhctc.audio import load_corpus, save_corpus
-from mhctc.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
+from mhctc.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_parser, main
 from mhctc.decode import DecodeConfig, beam_decode
 from mhctc.features import FeatureConfig, cmn, fbank, ste
 from mhctc.model import TrainConfig, forward, load_checkpoint, sgd_train
+from mhctc.pipeline import ExperimentPlan
 
 TRAINABLE = ("supervised-labeled", "supervised-all", "semi-sup-A", "semi-sup-B", "mh-ctc")
 FAST_TRAIN = ["--hidden", "16", "--epochs", "2"]
@@ -59,6 +61,21 @@ def test_front_end_flags_are_gone(command, capsys):
         main([command, "--help"])
     out = capsys.readouterr().out
     assert "--features" not in out and "--n-bands" not in out
+
+
+def test_flag_defaults_are_the_grids():
+    parse = build_parser().parse_args
+    train = parse(["train", "--corpus", "c", "--out", "o"])
+    adapt = parse(["adapt", "--ckpt", "c", "--out", "o", "--condition", "no-adapt"])
+    decode = parse(["decode", "--ckpt", "c", "--corpus", "c", "--out", "o"])
+    got = [getattr(train, k) for k in ("learning_rate", "epochs", "batch_size", "grad_clip",
+                                       "seed", "n_bands", "context", "hidden")]
+    assert got == [0.02, 14, 4, 5.0, 0, 16, 4, 128]
+    # adapt trains with the grid's adaptation values, not train's
+    assert (adapt.learning_rate, adapt.epochs) == (0.01, 16)
+    plan = ExperimentPlan()
+    assert (adapt.learning_rate, adapt.epochs) == (plan.adapt_learning_rate, plan.adapt_epochs)
+    assert decode.beam_width == plan.beam_width == 20
 
 
 def test_ste_checkpoint_decodes_with_ste_features(ws):
@@ -211,8 +228,13 @@ def test_non_positive_band_count_is_a_config_error(ws, tmp_path, capsys):
     ("train", ["--context", -1], "context must be a non-negative integer"),
     ("train", ["--epochs", -1], "epochs must be a non-negative integer"),
     ("train", ["--hidden", 0], "hidden must be a positive integer"),
+    ("train", ["--learning-rate", -0.5], "learning_rate must be a finite number > 0"),
+    ("train", ["--learning-rate", "nan"], "learning_rate must be a finite number > 0"),
+    ("train", ["--grad-clip", -1], "grad_clip must be a finite number > 0"),
+    ("train", ["--grad-clip", 0], "grad_clip must be a finite number > 0"),
 ], ids=["n-utts", "synth-seed", "len-range", "batch-size", "train-seed", "context", "epochs",
-        "hidden"])
+        "hidden", "negative-learning-rate", "nan-learning-rate", "negative-grad-clip",
+        "zero-grad-clip"])
 def test_bad_numeric_flag_is_a_config_error(ws, tmp_path, capsys, command, flags, message):
     if command == "synth":
         argv = ["synth", "--out", tmp_path / "c", "--n-utts", 2]
@@ -222,6 +244,33 @@ def test_bad_numeric_flag_is_a_config_error(ws, tmp_path, capsys, command, flags
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_duplicate_utterance_id_is_a_config_error(ws, tmp_path, capsys):
+    shutil.copytree(ws / "unlab", tmp_path / "dup")
+    dup = tmp_path / "dup/manifest.json"
+    manifest = json.loads(dup.read_text())
+    records = manifest["utterances"][:3]
+    records[1]["id"] = records[0]["id"]
+    dup.write_text(json.dumps(dict(manifest, utterances=records)))
+    for argv in (
+        ["train", "--corpus", dup, "--out", tmp_path / "m.ckpt", *FAST_TRAIN],
+        ["decode", "--ckpt", ws / "ste.ckpt", "--corpus", dup, "--out", tmp_path / "h.json"],
+        ["adapt", "--ckpt", ws / "ste.ckpt", "--condition", "supervised-labeled",
+         "--labeled", dup, "--out", tmp_path / "a.ckpt", *ADAPT_TRAIN],
+    ):
+        assert run(*argv) == EXIT_CONFIG
+        assert f"duplicate utterance id '{records[0]['id']}'" in capsys.readouterr().err
+    assert not any((tmp_path / name).exists() for name in ("m.ckpt", "h.json", "a.ckpt"))
+
+
+def test_bad_plan_fails_before_the_grid(tmp_path, capsys):
+    plan = {"batch_size": 0, "seeds": [0], "n_train": 4, "split_sizes": [1, 1, 1]}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
+    assert code == EXIT_CONFIG
+    assert "batch_size must be a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/run-*"))
 
 
 def test_too_short_waveform_is_a_stage_failure(ws, tmp_path, capsys):

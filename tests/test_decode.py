@@ -45,6 +45,9 @@ class TestGreedy:
             hyp = greedy_decode(logp)
             assert min_frames(hyp.labels) <= logp.shape[0]
             assert hyp.log_prob <= 0.0
+            # the best path's own log-probability, not the labeling's CTC score
+            best = np.argmax(logp, axis=1)
+            assert hyp.log_prob == logp[np.arange(logp.shape[0]), best].sum()
 
 
 class TestBeam:

@@ -1,7 +1,10 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+from mhctc import pipeline
 from mhctc.alphabet import LabelAlphabet
 from mhctc.audio import SynthConfig, synth_corpus
 from mhctc.ctc import ctc_loss
@@ -84,6 +87,26 @@ class TestPlan:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentPlan(scenarios=("clean-train", "dirty-train"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0),
+        ("learning_rate", -0.5),
+        ("grad_clip", None),
+        ("adapt_epochs", -1),
+        ("n_train", 0),
+        ("split_sizes", (1, 2)),
+        ("seeds", (0, -1)),
+        ("len_range", (5, 3)),
+        ("n_bands_ste", 0),
+        ("hidden", 0),
+        ("beam_width", 0),
+        ("train_noise_kind", "pink"),
+        ("alphabet", "abcdefghijklmnop"),
+    ])
+    def test_bad_value_rejected_at_construction(self, field, value):
+        # every config the plan derives is built up front, not inside a grid cell
+        with pytest.raises(ConfigError):
+            ExperimentPlan(**{field: value})
 
     def test_config_hash_stable_and_sensitive(self):
         a = ExperimentPlan()
@@ -269,3 +292,13 @@ class TestScenarioAndReport:
         for ckpt in sorted(dir_a.rglob("*.ckpt")):
             twin = dir_b / ckpt.relative_to(dir_a)
             assert ckpt.read_bytes() == twin.read_bytes()
+
+
+def test_traced_attributes_exist():
+    # the benchmark's traced run rebinds these module attributes by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{m.__name__}.{a}" for m, a, *_ in tracing._bindings() if not hasattr(m, a)]
+    assert missing == [] and hasattr(pipeline, "Path")
