@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .alphabet import LabelAlphabet
-from .errors import ConfigError, InvalidInput, check_ints
+from .errors import ConfigError, InvalidInput, check_ints, check_reals
 
 NOISE_KINDS = ("none", "white", "babble", "bandlimited")
+RECORD_TYPES = dict(id=str, path=str, transcription=str, sample_rate=int, condition=str)
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,9 @@ class SynthConfig:
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"noise_kind must be one of {NOISE_KINDS}")
         check_ints(0, seed=self.seed)
+        check_reals(snr_db=self.snr_db)
+        check_reals(0, snr_spread_db=self.snr_spread_db, freq_jitter=self.freq_jitter,
+                    amp_jitter=self.amp_jitter)
         symbol_band_centers(self.alphabet, self.sample_rate)  # raises if the alphabet does not fit
 
 
@@ -207,12 +211,15 @@ def load_corpus(manifest_path):
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
     alphabet = LabelAlphabet(tuple(manifest["alphabet"]))
-    ids = [rec["id"] for rec in manifest["utterances"]]
-    if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
-        raise ConfigError(f"{manifest_path}: duplicate utterance id {dup!r}")
-    corpus = []
-    for rec in manifest["utterances"]:
+    corpus, ids = [], set()
+    for i, rec in enumerate(manifest["utterances"]):
+        kinds = {key: type(rec.get(key)) for key in RECORD_TYPES} if isinstance(rec, dict) else {}
+        if kinds != RECORD_TYPES:
+            spec = ", ".join(f"{key} ({kind.__name__})" for key, kind in RECORD_TYPES.items())
+            raise ConfigError(f"{manifest_path}: utterance record {i} needs {spec}")
+        if rec["id"] in ids:
+            raise ConfigError(f"{manifest_path}: duplicate utterance id {rec['id']!r}")
+        ids.add(rec["id"])
         with wave.open(str(manifest_path.parent / rec["path"]), "rb") as w:
             n = w.getnframes()
             pcm = np.frombuffer(w.readframes(n), dtype="<i2")

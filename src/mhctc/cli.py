@@ -128,15 +128,9 @@ def _load_hyps(path):
 
 def cmd_synth(args):
     alphabet = LabelAlphabet(tuple(args.alphabet))
-    cfg = SynthConfig(
-        alphabet=alphabet,
-        noise_kind=args.noise_kind,
-        snr_db=args.snr_db,
-        snr_spread_db=args.snr_spread_db,
-        freq_jitter=args.freq_jitter,
-        amp_jitter=args.amp_jitter,
-        seed=args.seed,
-    )
+    cfg = SynthConfig(alphabet=alphabet, noise_kind=args.noise_kind, snr_db=args.snr_db,
+                      snr_spread_db=args.snr_spread_db, freq_jitter=args.freq_jitter,
+                      amp_jitter=args.amp_jitter, seed=args.seed)
     corpus = synth_corpus(cfg, args.n_utts, (args.len_min, args.len_max))
     save_corpus(corpus, alphabet, args.out)
     print(f"wrote {len(corpus)} utterances to {args.out}")
@@ -208,14 +202,9 @@ def cmd_score(args):
         raise ConfigError(f"hypotheses missing for ids: {missing[:5]}")
     pairs = [(refs[uid], hyps[uid]) for uid in sorted(refs)]
     wer, cer = score_corpus(pairs)
-    print(
-        f"WER {wer.wer:.2f}  (S {wer.substitutions} I {wer.insertions}"
-        f" D {wer.deletions} / {wer.ref_words} words)"
-    )
-    print(
-        f"CER {cer.wer:.2f}  (S {cer.substitutions} I {cer.insertions}"
-        f" D {cer.deletions} / {cer.ref_words} symbols)"
-    )
+    for name, rep, unit in (("WER", wer, "words"), ("CER", cer, "symbols")):
+        print(f"{name} {rep.wer:.2f}  (S {rep.substitutions} I {rep.insertions}"
+              f" D {rep.deletions} / {rep.ref_words} {unit})")
     return EXIT_OK
 
 
@@ -256,10 +245,8 @@ def main(argv=None):
     )
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, SizeError, InvalidLabel, InvalidInput) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigError, SizeError, InvalidLabel, InvalidInput, json.JSONDecodeError,
+            FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MhctcError as exc:

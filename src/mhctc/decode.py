@@ -11,7 +11,7 @@ import numpy as np
 
 from .alphabet import BLANK
 from .ctc import collapse_path, ctc_loss  # noqa: F401 (perfbench/tracing.py rebinds ctc_loss here)
-from .errors import ConfigError
+from .errors import ConfigError, check_ints
 
 NEG_INF = -np.inf
 
@@ -22,8 +22,7 @@ class DecodeConfig:
     mode: str = "beam"
 
     def __post_init__(self):
-        if self.beam_width < 1:
-            raise ConfigError("beam_width must be >= 1")
+        check_ints(1, beam_width=self.beam_width)
         if self.mode not in ("greedy", "beam"):
             raise ConfigError("mode must be 'greedy' or 'beam'")
 
@@ -46,38 +45,42 @@ def greedy_decode(logp):
     return DecodedHypothesis(labels=labels, log_prob=float(logp.max(axis=1).sum()))
 
 
-def _rank(beam):
-    """Sort key of a (prefix, masses) beam: higher total mass, then smaller prefix."""
-    return -np.logaddexp(*beam[1]), beam[0]
-
-
 def beam_decode(logp, cfg=DecodeConfig()):
-    """Standard CTC prefix beam search; returns the best final prefix."""
+    """CTC prefix beam search (Hannun et al. 2014, Algorithm 1); returns the best final prefix.
+
+    Each frame scores every kept prefix and its extension by every symbol
+    as one array.  A slot of a new prefix sums at most two terms, its own
+    repeat and its parent's extension, and ``np.logaddexp`` is exactly
+    commutative, so no order of accumulation can change a mass.
+    """
     logp = np.asarray(logp, dtype=np.float64)
-    T, K = logp.shape
-    # prefix -> [log mass ending in blank, log mass ending in non-blank]
-    beams = {(): [0.0, NEG_INF]}
-    for t in range(T):
-        row = logp[t]
-        nxt = {}
-
-        def bump(prefix, slot, val):
-            entry = nxt.setdefault(prefix, [NEG_INF, NEG_INF])
-            entry[slot] = np.logaddexp(entry[slot], val)
-
-        for prefix, (pb, pnb) in beams.items():
-            total = np.logaddexp(pb, pnb)
-            bump(prefix, 0, total + row[BLANK])
-            if prefix:
-                bump(prefix, 1, pnb + row[prefix[-1]])
-            for k in range(1, K):
-                if prefix and prefix[-1] == k:
-                    bump(prefix + (k,), 1, pb + row[k])
-                else:
-                    bump(prefix + (k,), 1, total + row[k])
-        beams = dict(sorted(nxt.items(), key=_rank)[: cfg.beam_width])
-    best, (pb, pnb) = next(iter(beams.items()))  # beams are kept in rank order
-    return DecodedHypothesis(labels=best, log_prob=float(np.logaddexp(pb, pnb)))
+    K, W = logp.shape[1], cfg.beam_width
+    # kept prefixes, their log masses ending in blank / non-blank, and their last symbols
+    prefixes, pb, pnb, last = [()], np.zeros(1), np.full(1, NEG_INF), np.zeros(1, dtype=int)
+    for row in logp:
+        total = np.logaddexp(pb, pnb)
+        # candidate (i, 0) is kept prefix i itself and (i, k) is prefix i extended by
+        # symbol k; extending by the last symbol needs a blank in between
+        cand_pb = np.full((len(prefixes), K), NEG_INF)
+        cand_pb[:, BLANK] = total + row[BLANK]
+        cand_pnb = np.where(last[:, None] == np.arange(K), pb[:, None], total[:, None]) + row
+        cand_pnb[:, BLANK] = pnb + row[last]  # -inf for the empty prefix
+        # a kept prefix whose parent is kept also takes that parent's extension
+        index = {p: i for i, p in enumerate(prefixes)}
+        parent = np.array([index.get(p[:-1], -1) if p else -1 for p in prefixes])
+        child = np.flatnonzero(parent >= 0)
+        merged = (parent[child], last[child])
+        cand_pnb[child, BLANK] = np.logaddexp(cand_pnb[child, BLANK], cand_pnb[merged])
+        live = np.delete(np.arange(cand_pnb.size), parent[child] * K + last[child])
+        neg = -np.logaddexp(cand_pb, cand_pnb).ravel()
+        if live.size > W:  # keep all tied with the W-th largest mass; the sort breaks ties
+            live = live[neg[live] <= np.partition(neg[live], W - 1)[W - 1]]
+        ranked = sorted((m, prefixes[c // K] + (c % K,) if c % K else prefixes[c // K], c)
+                        for c, m in zip(live.tolist(), neg[live].tolist()))[:W]
+        _, prefixes, order = zip(*ranked)
+        pb, pnb = np.take(cand_pb, order), np.take(cand_pnb, order)
+        last = np.array([p[-1] if p else BLANK for p in prefixes])
+    return DecodedHypothesis(labels=prefixes[0], log_prob=float(np.logaddexp(pb[0], pnb[0])))
 
 
 def decode(logp, cfg=DecodeConfig()):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer-field check."""
+"""Exception types shared across the package, and the integer- and real-field checks."""
+
+import math
 
 
 class MhctcError(Exception):
@@ -57,3 +59,12 @@ def check_ints(minimum, **values):
             kind = "positive" if minimum == 1 else "non-negative"
             what = f"{kind} integers" if many else f"a {kind} integer"
             raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def check_reals(minimum=-math.inf, strict=False, **values):
+    """Raise ConfigError unless every value is a finite real number >= minimum (> when strict)."""
+    for name, value in values.items():
+        real = isinstance(value, (int, float)) and math.isfinite(value)
+        if not real or value < minimum or (strict and value == minimum):
+            bound = f" {'>' if strict else '>='} {minimum}" if minimum > -math.inf else ""
+            raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")

@@ -9,7 +9,6 @@ corpus.
 
 import json
 import logging
-import math
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .ctc import ctc_loss, logits_gradient
 from .errors import (
     ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, ShapeError, check_ints,
+    check_reals,
 )
 from .features import FeatureConfig
 from .mh import HypothesisSet, mh_ctc_loss
@@ -68,10 +68,7 @@ class TrainConfig:
     def __post_init__(self):
         check_ints(0, epochs=self.epochs, seed=self.seed)
         check_ints(1, batch_size=self.batch_size)
-        for name in ("learning_rate", "grad_clip"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
-                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+        check_reals(0, strict=True, learning_rate=self.learning_rate, grad_clip=self.grad_clip)
 
 
 def _tensor_shapes(config):
@@ -188,8 +185,6 @@ def sgd_train(params, dataset, cfg):
     fully deterministic given cfg.seed.
     """
     params = params.copy()
-    if cfg.epochs == 0:
-        return params, []
     rng = np.random.default_rng(cfg.seed)
     curve = []
     n = len(dataset)

@@ -110,7 +110,7 @@ class ExperimentPlan:
             ModelConfig(feat_dim=self.feature_cfg(kind).dim, n_outputs=alphabet.n_outputs,
                         context=self.context, hidden=self.hidden)
         for noise_kind in (self.noise_kind, self.train_noise_kind):
-            SynthConfig(alphabet=alphabet, noise_kind=noise_kind)
+            self.synth_cfg(noise_kind, seed=0)
 
     def train_cfg(self, stage, seed):
         """TrainConfig of one training stage: "train", "finetune" or "adapt"."""
@@ -119,6 +119,12 @@ class ExperimentPlan:
             epochs=getattr(self, f"{stage}_epochs"), batch_size=self.batch_size, seed=seed,
             grad_clip=self.grad_clip,
         )
+
+    def synth_cfg(self, noise_kind, seed):
+        """SynthConfig of a corpus with the plan's SNR and jitter ("none": no noise)."""
+        return SynthConfig(alphabet=LabelAlphabet(tuple(self.alphabet)), noise_kind=noise_kind,
+                           snr_db=self.snr_db, snr_spread_db=self.snr_spread_db,
+                           freq_jitter=self.freq_jitter, amp_jitter=self.amp_jitter, seed=seed)
 
     def feature_cfg(self, kind):
         n_bands = self.n_bands_fbank if kind == "fbank" else self.n_bands_ste
@@ -270,20 +276,14 @@ def evaluate(system, utts, plan, cache):
 
 def _build_systems(plan, scenario, seed, alphabet, cache):
     """Train the initial FBANK and STE systems for one scenario."""
-    base = SynthConfig(
-        alphabet=alphabet, noise_kind="none", seed=seed * 1000 + 1,
-        freq_jitter=plan.freq_jitter, amp_jitter=plan.amp_jitter,
-    )
+    base = plan.synth_cfg("none", seed * 1000 + 1)
     if scenario == "clean-train":
         train_corpus = synth_corpus(base, plan.n_train, plan.len_range, id_prefix="tr")
     else:
         half = plan.n_train // 2
         clean = synth_corpus(base, half, plan.len_range, id_prefix="trc")
-        noisy = synth_corpus(
-            replace(base, noise_kind=plan.train_noise_kind, snr_db=plan.snr_db,
-                    snr_spread_db=plan.snr_spread_db, seed=seed * 1000 + 2),
-            plan.n_train - half, plan.len_range, id_prefix="trn",
-        )
+        noisy = synth_corpus(plan.synth_cfg(plan.train_noise_kind, seed * 1000 + 2),
+                             plan.n_train - half, plan.len_range, id_prefix="trn")
         train_corpus = clean + noisy
     systems = []
     for i, (name, kind) in enumerate((("sysA", "fbank"), ("sysB", "ste"))):
@@ -303,11 +303,7 @@ def run_scenario_seed(plan, scenario, seed, run_dir=None):
     cache = {}
     sys_a, sys_b = _build_systems(plan, scenario, seed, alphabet, cache)
 
-    adapt_cfg = SynthConfig(
-        alphabet=alphabet, noise_kind=plan.noise_kind, snr_db=plan.snr_db,
-        snr_spread_db=plan.snr_spread_db, freq_jitter=plan.freq_jitter,
-        amp_jitter=plan.amp_jitter, seed=seed * 1000 + 3,
-    )
+    adapt_cfg = plan.synth_cfg(plan.noise_kind, seed * 1000 + 3)
     corpus = synth_corpus(adapt_cfg, sum(plan.split_sizes), plan.len_range, id_prefix="ad")
     split = make_splits(corpus, plan.split_sizes, seed)
 

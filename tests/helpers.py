@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 
+from mhctc.alphabet import BLANK
 from mhctc.ctc import NEG_INF, _check_logp, collapse_path
+from mhctc.decode import DecodeConfig, DecodedHypothesis
 from mhctc.errors import MhctcError
 
 ORACLE_GUARD = 10**7
@@ -75,6 +77,44 @@ def exhaustive_best_labeling(logp):
         mass[lab] = np.logaddexp(mass.get(lab, -np.inf), score)
     best = min(mass.items(), key=lambda kv: (-kv[1], kv[0]))
     return best[0], float(best[1])
+
+
+def _rank(beam):
+    """Sort key of a (prefix, masses) beam: higher total mass, then smaller prefix."""
+    return -np.logaddexp(*beam[1]), beam[0]
+
+
+def beam_decode_reference(logp, cfg=DecodeConfig()):
+    """Dict-based prefix beam search, one candidate at a time.
+
+    Reference for the array-based ``mhctc.decode.beam_decode``, which must
+    return equal labels and an equal ``log_prob``.
+    """
+    logp = np.asarray(logp, dtype=np.float64)
+    T, K = logp.shape
+    # prefix -> [log mass ending in blank, log mass ending in non-blank]
+    beams = {(): [0.0, NEG_INF]}
+    for t in range(T):
+        row = logp[t]
+        nxt = {}
+
+        def bump(prefix, slot, val):
+            entry = nxt.setdefault(prefix, [NEG_INF, NEG_INF])
+            entry[slot] = np.logaddexp(entry[slot], val)
+
+        for prefix, (pb, pnb) in beams.items():
+            total = np.logaddexp(pb, pnb)
+            bump(prefix, 0, total + row[BLANK])
+            if prefix:
+                bump(prefix, 1, pnb + row[prefix[-1]])
+            for k in range(1, K):
+                if prefix and prefix[-1] == k:
+                    bump(prefix + (k,), 1, pb + row[k])
+                else:
+                    bump(prefix + (k,), 1, total + row[k])
+        beams = dict(sorted(nxt.items(), key=_rank)[: cfg.beam_width])
+    best, (pb, pnb) = next(iter(beams.items()))  # beams are kept in rank order
+    return DecodedHypothesis(labels=best, log_prob=float(np.logaddexp(pb, pnb)))
 
 
 def recursive_edit_distance(ref, hyp):

@@ -232,9 +232,11 @@ def test_non_positive_band_count_is_a_config_error(ws, tmp_path, capsys):
     ("train", ["--learning-rate", "nan"], "learning_rate must be a finite number > 0"),
     ("train", ["--grad-clip", -1], "grad_clip must be a finite number > 0"),
     ("train", ["--grad-clip", 0], "grad_clip must be a finite number > 0"),
+    ("synth", ["--snr-db", "nan"], "snr_db must be a finite number"),
+    ("synth", ["--amp-jitter", -0.1], "amp_jitter must be a finite number >= 0"),
 ], ids=["n-utts", "synth-seed", "len-range", "batch-size", "train-seed", "context", "epochs",
         "hidden", "negative-learning-rate", "nan-learning-rate", "negative-grad-clip",
-        "zero-grad-clip"])
+        "zero-grad-clip", "nan-snr", "negative-amp-jitter"])
 def test_bad_numeric_flag_is_a_config_error(ws, tmp_path, capsys, command, flags, message):
     if command == "synth":
         argv = ["synth", "--out", tmp_path / "c", "--n-utts", 2]
@@ -271,6 +273,33 @@ def test_bad_plan_fails_before_the_grid(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "batch_size must be a positive integer" in capsys.readouterr().err
     assert not list(tmp_path.glob("out/run-*"))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("freq_jitter", "x", "freq_jitter must be a finite number >= 0, got 'x'"),
+    ("snr_db", float("inf"), "snr_db must be a finite number"),
+    ("beam_width", 2.5, "beam_width must be a positive integer, got 2.5"),
+])
+def test_bad_plan_value_fails_before_the_grid(tmp_path, capsys, field, value, message):
+    plan = {field: value, "seeds": [0], "n_train": 4, "split_sizes": [1, 1, 1]}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/run-*"))
+
+
+def test_malformed_manifest_record_is_a_config_error(ws, tmp_path, capsys):
+    shutil.copytree(ws / "unlab", tmp_path / "bad")
+    path = tmp_path / "bad/manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["utterances"][1]["transcription"]
+    path.write_text(json.dumps(manifest))
+    assert run("decode", "--ckpt", ws / "ste.ckpt", "--corpus", path,
+               "--out", tmp_path / "h.json") == EXIT_CONFIG
+    assert "utterance record 1 needs id (str), path (str), transcription (str)" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "h.json").exists()
 
 
 def test_too_short_waveform_is_a_stage_failure(ws, tmp_path, capsys):

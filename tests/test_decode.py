@@ -5,7 +5,7 @@ from mhctc.ctc import min_frames
 from mhctc.decode import DecodeConfig, beam_decode, decode, greedy_decode
 from mhctc.errors import ConfigError
 
-from helpers import exhaustive_best_labeling, random_logp
+from helpers import beam_decode_reference, exhaustive_best_labeling, random_logp
 
 
 def peaked_logp(path, K, eps=1e-6):
@@ -80,6 +80,32 @@ class TestBeam:
             narrow = beam_decode(logp, DecodeConfig(beam_width=2)).log_prob
             wide = beam_decode(logp, DecodeConfig(beam_width=8)).log_prob
             assert wide >= narrow - 1e-12
+
+    def test_matches_reference_search(self):
+        # labels and log_prob equal to the dict search's, ties at the cut included
+        rng = np.random.default_rng(6)
+        for n in range(1000):
+            T, K, W = int(rng.integers(1, 51)), int(rng.integers(2, 8)), int(rng.integers(1, 31))
+            u = rng.standard_normal((T, K)) * rng.uniform(0.3, 30.0)
+            if n % 3 == 0:
+                u = np.round(u)  # rounded logits: many tied masses
+            if n % 5 == 0:
+                u[rng.random(T) < 0.3] = 0.0  # all-zero rows: every symbol equally likely
+            logp = u - np.logaddexp.reduce(u, axis=1, keepdims=True)
+            cfg = DecodeConfig(beam_width=W)
+            got, want = beam_decode(logp, cfg), beam_decode_reference(logp, cfg)
+            assert (got.labels, got.log_prob) == (want.labels, want.log_prob), (n, T, K, W)
+
+    # T=0 and T=1 frames, the smallest alphabet and beam, and beams wider
+    # than the number of distinct prefixes (at most 3 for T=3, K=2)
+    @pytest.mark.parametrize("T,K,W", [(0, 3, 4), (1, 2, 1), (3, 2, 1), (3, 2, 30), (4, 3, 500)])
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_edge_cases_match_reference(self, T, K, W, uniform):
+        rng = np.random.default_rng(T)
+        logp = np.full((T, K), -np.log(K)) if uniform else random_logp(rng, T, K)
+        cfg = DecodeConfig(beam_width=W)
+        got, want = beam_decode(logp, cfg), beam_decode_reference(logp, cfg)
+        assert (got.labels, got.log_prob) == (want.labels, want.log_prob)
 
     def test_invalid_width(self):
         with pytest.raises(ConfigError):

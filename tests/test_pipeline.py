@@ -100,6 +100,14 @@ class TestPlan:
         ("n_bands_ste", 0),
         ("hidden", 0),
         ("beam_width", 0),
+        ("beam_width", 2.5),
+        ("beam_width", "3"),
+        ("snr_db", float("nan")),
+        ("snr_db", "x"),
+        ("snr_spread_db", -1.0),
+        ("freq_jitter", "x"),
+        ("freq_jitter", -0.1),
+        ("amp_jitter", float("inf")),
         ("train_noise_kind", "pink"),
         ("alphabet", "abcdefghijklmnop"),
     ])
