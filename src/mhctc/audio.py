@@ -210,6 +210,11 @@ def load_corpus(manifest_path):
     """Read a manifest written by save_corpus; utterance ids must be unique."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
+    if not (isinstance(manifest, dict)
+            and all(isinstance(manifest.get(key), list) for key in ("utterances", "alphabet"))):
+        raise ConfigError(
+            f'{manifest_path}: a manifest is a JSON object with lists "utterances" and "alphabet"'
+        )
     alphabet = LabelAlphabet(tuple(manifest["alphabet"]))
     corpus, ids = [], set()
     for i, rec in enumerate(manifest["utterances"]):

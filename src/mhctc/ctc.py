@@ -6,8 +6,11 @@ to C (remove repeats, then blanks).  The DP runs over the extended label
 sequence (blank, c_1, blank, ..., c_L, blank) with the usual
 stay / advance-one / advance-two transition rule.
 
-One recursion serves both passes: beta is alpha of the time- and
-state-reversed lattice (Graves et al. 2006, sec. 4.1).
+One recursion serves both passes and the whole batch: beta is alpha of
+the time- and state-reversed lattice (Graves et al. 2006, sec. 4.1), and
+every (utterance, transcription) pair and its reversal is one padded row
+of a lattice that advances a frame at a time (warp-ctc's layout, Amodei
+et al. 2016).
 
 All arithmetic is in log space, double precision, with no floor on the
 log-probabilities.  ``ctc_loss`` returns the exact gradient with respect
@@ -55,7 +58,8 @@ def min_frames(labels):
     return len(labels) + repeats
 
 
-def _check_logp(logp):
+def check_logp(logp):
+    """``logp`` as a float T x K matrix of finite, normalized log-probability rows."""
     logp = np.asarray(logp, dtype=np.float64)
     if logp.ndim != 2 or logp.shape[0] < 1:
         raise InvalidInput(f"logp must be a T x K matrix, got shape {logp.shape}")
@@ -67,25 +71,99 @@ def _check_logp(logp):
     return logp
 
 
-def _forward(em, ext):
-    """Log-space forward lattice over the extended labels ``ext``.
+def check_labels(logp, labels):
+    """``labels`` as a tuple of indices into checked ``logp``'s K - 1 symbols.
 
-    alpha[t, s] is the log mass of every path prefix that ends in state s
-    at frame t, frame t's emission included.
+    Raises InfeasibleAlignment when T < min_frames(labels).
     """
-    # advance-two is allowed into label states whose label differs across
-    # the blank; blank states never qualify, as both ends are blanks
-    skip_to = np.flatnonzero(ext[2:] != ext[:-2]) + 2
-    skip_from = skip_to - 2
-    alpha = np.full(em.shape, NEG_INF)
-    alpha[0, :2] = em[0, :2]
-    for t in range(1, em.shape[0]):
-        prev = alpha[t - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        acc[skip_to] = np.logaddexp(acc[skip_to], prev[skip_from])
-        alpha[t] = acc + em[t]
-    return alpha
+    T, K = logp.shape
+    labels = validate_transcription(labels, K - 1)
+    need = min_frames(labels)
+    if T < need:
+        raise InfeasibleAlignment(
+            f"transcription needs at least {need} frames, got {T}"
+        )
+    return labels
+
+
+def ctc_lattice(logps, targets):
+    """Exact CTC losses and gradients of a batch of utterances in one recursion.
+
+    ``logps`` are checked T x K matrices (``check_logp``); ``targets[u]``
+    lists utterance u's checked transcriptions (``check_labels``), one per
+    hypothesis.  Returns one LossResult per utterance, whose gradient sums
+    its hypotheses' gradients in order.
+
+    A row is two -inf pad columns, then its states, padded with -inf
+    emissions to T_max x S_max.  The rows lie end to end, so a frame is
+    four ufunc calls over one flat array: the advance-one and advance-two
+    shifts into a row's first states read its own pad columns, which stay
+    -inf because their emissions are -inf.
+    """
+    rows = {}  # (utterance, labels) -> row; a repeated hypothesis is computed once
+    for u, hyps in enumerate(targets):
+        for labels in hyps:
+            rows.setdefault((u, labels), len(rows))
+    R = len(rows)
+    T = np.array([logps[u].shape[0] for u, _ in rows])
+    S = np.array([2 * len(labels) + 1 for _, labels in rows])
+    T_max, W, K = T.max(), 2 + S.max(), max(lp.shape[1] for lp in logps)
+    em = np.full((T_max, 2 * R, W), NEG_INF)  # em[t, r, 2 + s]: emission of state s
+    skip = np.full((2 * R, W), NEG_INF)  # 0 where state s may be entered from s - 2
+    sym = np.zeros((R, W), dtype=np.int64)  # symbol of each column; pads get zero occupancy
+    for r, (u, labels) in enumerate(rows):
+        ext = expand_labels(labels)
+        t, s = T[r], S[r]
+        em[:t, r, 2 : 2 + s] = logps[u][:, ext]
+        em[:t, R + r, 2 : 2 + s] = em[t - 1 :: -1, r, 1 + s : 1 : -1]
+        # advance-two enters label states whose label differs across the
+        # blank; blank states never qualify, as both ends are blanks
+        ok = ext[2:] != ext[:-2]
+        skip[r, 4 : 2 + s][ok] = 0.0
+        skip[R + r, 4 : 2 + s][ok[::-1]] = 0.0
+        sym[r, 2 : 2 + s] = ext
+
+    # alpha[t, r, 2 + s]: log mass of every path prefix of row r that ends
+    # in state s at frame t, frame t's emission included
+    alpha = np.full((T_max, 2 * R, W), NEG_INF)
+    alpha[0, :, 2:4] = em[0, :, 2:4]
+    flat = alpha.reshape(T_max, -1)
+    em_flat, skip_flat = em.reshape(T_max, -1)[:, 2:], skip.ravel()[2:]
+    acc = np.empty(flat.shape[1] - 2)
+    for t in range(1, T_max):
+        prev = flat[t - 1]
+        np.logaddexp(prev[2:], prev[1:-1], out=acc)
+        np.logaddexp(acc, prev[:-2] + skip_flat, out=acc)
+        np.add(acc, em_flat[t], out=flat[t, 2:])
+
+    r = np.arange(R)
+    last = alpha[T - 1, r]
+    # states S - 1 and S - 2 are columns 1 + S and S; for S == 1 the latter is
+    # a pad, and logaddexp(x, -inf) == x
+    log_p = np.logaddexp(last[r, 1 + S], last[r, S])
+    # beta[t, r, 2 + s] is the reversed row's alpha at (T - 1 - t, S - 1 - s);
+    # state occupancies follow, as alpha and beta both include frame t's emission
+    occ = np.full((T_max, R, W), NEG_INF)
+    for i in range(R):
+        occ[: T[i], i, 2 : 2 + S[i]] = alpha[T[i] - 1 :: -1, R + i, 1 + S[i] : 1 : -1]
+    occ += alpha[:, :R]
+    # padded cells have -inf emissions, and -inf - -inf would be NaN
+    np.subtract(occ, em[:, :R], out=occ, where=occ > NEG_INF)
+    occ -= log_p[:, None]
+    occ = np.exp(occ)
+    # d loss / d logp[t, k] is minus the occupancies of k's states, which
+    # bincount adds up in state order
+    cell = (r[:, None] * T_max + np.arange(T_max))[:, :, None] * K + sym[:, None, :]
+    grads = np.bincount(cell.transpose(1, 0, 2).ravel(), -occ.ravel(), R * T_max * K)
+    grads = grads.reshape(R, T_max, K)
+
+    out = []
+    for u, hyps in enumerate(targets):
+        t, k = logps[u].shape
+        rs = [rows[(u, labels)] for labels in hyps]
+        per = [float(-log_p[i]) for i in rs]
+        out.append(LossResult(float(sum(per)), sum(grads[i, :t, :k] for i in rs), per))
+    return out
 
 
 def ctc_loss(logp, labels):
@@ -95,31 +173,8 @@ def ctc_loss(logp, labels):
     labels: transcription as a sequence of indices in [1, K-1].
     Raises InfeasibleAlignment when T < min_frames(labels).
     """
-    lp = _check_logp(logp)
-    T, K = lp.shape
-    labels = validate_transcription(labels, K - 1)
-    need = min_frames(labels)
-    if T < need:
-        raise InfeasibleAlignment(
-            f"transcription needs at least {need} frames, got {T}"
-        )
-
-    ext = expand_labels(labels)
-    em = lp[:, ext]  # T x S per-state emissions
-    alpha = _forward(em, ext)
-    beta = _forward(np.ascontiguousarray(em[::-1, ::-1]), ext[::-1])[::-1, ::-1]
-
-    log_p = alpha[-1, -1]
-    if ext.size > 1:
-        log_p = np.logaddexp(log_p, alpha[-1, -2])
-
-    # state occupancies: alpha and beta both include frame t's emission
-    occ = np.exp(alpha + beta - em - log_p)
-    grad = np.zeros_like(lp)
-    np.subtract.at(grad, (slice(None), ext), occ)
-
-    loss = float(-log_p)
-    return LossResult(loss, grad, [loss])
+    lp = check_logp(logp)
+    return ctc_lattice([lp], [[check_labels(lp, labels)]])[0]
 
 
 def logits_gradient(logp, grad_logp):

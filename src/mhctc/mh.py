@@ -7,7 +7,8 @@ as-is (a duplicate doubles that utterance's gradient weight on purpose).
 
 from dataclasses import dataclass
 
-from .ctc import LossResult, ctc_loss
+# perfbench/tracing.py rebinds ctc_loss here
+from .ctc import check_labels, check_logp, ctc_lattice, ctc_loss  # noqa: F401
 from .errors import InfeasibleAlignment, InvalidInput
 
 
@@ -34,23 +35,27 @@ class HypothesisSet:
         return len(self.hypotheses)
 
 
-def mh_ctc_loss(logp, hs):
-    """Combined loss over all hypotheses in ``hs`` plus the summed gradient.
+def target_labels(logp, target):
+    """Checked transcriptions of a transcription or a HypothesisSet.
 
     An infeasible hypothesis raises InfeasibleAlignment with
     ``hypothesis_index`` set; the caller decides the skip policy.
     """
-    per = []
-    grad = None
-    for i, hyp in enumerate(hs.hypotheses):
+    if not isinstance(target, HypothesisSet):
+        return [check_labels(logp, target)]
+    hyps = []
+    for i, hyp in enumerate(target.hypotheses):
         try:
-            res = ctc_loss(logp, hyp)
+            hyps.append(check_labels(logp, hyp))
         except InfeasibleAlignment as exc:
             raise InfeasibleAlignment(
-                f"hypothesis {i} ({hs.source_tags[i]}) infeasible: {exc}",
+                f"hypothesis {i} ({target.source_tags[i]}) infeasible: {exc}",
                 hypothesis_index=i,
             ) from exc
-        per.append(res.loss)
-        grad = res.grad if grad is None else grad + res.grad
-    return LossResult(loss=float(sum(per)), grad=grad, per_hypothesis=per)
+    return hyps
 
+
+def mh_ctc_loss(logp, hs):
+    """Combined loss over all hypotheses in ``hs`` (one lattice row each), summed gradient."""
+    lp = check_logp(logp)
+    return ctc_lattice([lp], [target_labels(lp, hs)])[0]

@@ -13,13 +13,14 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .ctc import ctc_loss, logits_gradient
+# perfbench/tracing.py rebinds ctc_loss and mh_ctc_loss here
+from .ctc import check_logp, ctc_lattice, ctc_loss, logits_gradient  # noqa: F401
 from .errors import (
     ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, ShapeError, check_ints,
     check_reals,
 )
 from .features import FeatureConfig
-from .mh import HypothesisSet, mh_ctc_loss
+from .mh import mh_ctc_loss, target_labels  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -162,18 +163,27 @@ def backward(params, x, grad_logp):
     return _backward_from(params, xc, h, logp, grad_logp)
 
 
-def _utterance_loss(params, x, target):
-    """Loss and parameter gradient for one utterance.
+def _batch_losses(params, dataset, batch):
+    """Yield (loss, parameter gradients) of each feasible utterance of a batch, in order.
 
-    ``target`` is either a transcription (plain CTC) or a HypothesisSet
-    (multi-hypothesis CTC).
+    Outputs and targets are all checked before one lattice call serves the
+    batch; infeasible utterances are skipped with a log message.
     """
-    xc, h, logp = _forward_activations(params, x)
-    if isinstance(target, HypothesisSet):
-        res = mh_ctc_loss(logp, target)
-    else:
-        res = ctc_loss(logp, target)
-    return res.loss, _backward_from(params, xc, h, logp, res.grad)
+    acts, logps, targets = [], [], []
+    for i in batch:
+        x, target = dataset[i]
+        xc, h, logp = _forward_activations(params, x)
+        logp = check_logp(logp)
+        try:
+            targets.append(target_labels(logp, target))
+        except InfeasibleAlignment as exc:
+            log.warning("skipping infeasible utterance %d: %s", i, exc)
+            continue
+        acts.append((xc, h, logp))
+        logps.append(logp)
+    if acts:
+        for act, res in zip(acts, ctc_lattice(logps, targets)):
+            yield res.loss, _backward_from(params, *act, res.grad)
 
 
 def sgd_train(params, dataset, cfg):
@@ -195,13 +205,7 @@ def sgd_train(params, dataset, cfg):
             batch = order[start : start + cfg.batch_size]
             grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
             used = 0
-            for i in batch:
-                x, target = dataset[i]
-                try:
-                    loss, g = _utterance_loss(params, x, target)
-                except InfeasibleAlignment as exc:
-                    log.warning("skipping infeasible utterance %d: %s", i, exc)
-                    continue
+            for loss, g in _batch_losses(params, dataset, batch):
                 losses.append(loss)
                 for k in grads:
                     grads[k] += g[k]

@@ -4,10 +4,10 @@ import itertools
 
 import numpy as np
 
-from mhctc.alphabet import BLANK
-from mhctc.ctc import NEG_INF, _check_logp, collapse_path
+from mhctc.alphabet import BLANK, validate_transcription
+from mhctc.ctc import NEG_INF, LossResult, check_logp, collapse_path, expand_labels, min_frames
 from mhctc.decode import DecodeConfig, DecodedHypothesis
-from mhctc.errors import MhctcError
+from mhctc.errors import InfeasibleAlignment, MhctcError
 
 ORACLE_GUARD = 10**7
 
@@ -22,7 +22,7 @@ def ctc_loss_bruteforce(logp, labels):
     Test oracle only: exponential in T.  Returns +inf when the path set is
     empty (infeasible transcription).
     """
-    lp = _check_logp(logp)
+    lp = check_logp(logp)
     T, K = lp.shape
     labels = tuple(int(i) for i in labels)
     if K**T > ORACLE_GUARD:
@@ -32,6 +32,60 @@ def ctc_loss_bruteforce(logp, labels):
         if collapse_path(path) == labels:
             total = np.logaddexp(total, sum(lp[t, k] for t, k in enumerate(path)))
     return float(-total)
+
+
+def _forward_reference(em, ext):
+    """Log-space forward lattice over the extended labels ``ext``.
+
+    alpha[t, s] is the log mass of every path prefix that ends in state s
+    at frame t, frame t's emission included.
+    """
+    # advance-two is allowed into label states whose label differs across
+    # the blank; blank states never qualify, as both ends are blanks
+    skip_to = np.flatnonzero(ext[2:] != ext[:-2]) + 2
+    skip_from = skip_to - 2
+    alpha = np.full(em.shape, NEG_INF)
+    alpha[0, :2] = em[0, :2]
+    for t in range(1, em.shape[0]):
+        prev = alpha[t - 1]
+        acc = prev.copy()
+        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
+        acc[skip_to] = np.logaddexp(acc[skip_to], prev[skip_from])
+        alpha[t] = acc + em[t]
+    return alpha
+
+
+def ctc_loss_reference(logp, labels):
+    """Per-utterance CTC loss: one forward and one reversed recursion.
+
+    Reference for the batched ``mhctc.ctc.ctc_lattice``, whose every row
+    must give an equal loss and gradient.
+    """
+    lp = check_logp(logp)
+    T, K = lp.shape
+    labels = validate_transcription(labels, K - 1)
+    need = min_frames(labels)
+    if T < need:
+        raise InfeasibleAlignment(
+            f"transcription needs at least {need} frames, got {T}"
+        )
+
+    ext = expand_labels(labels)
+    em = lp[:, ext]  # T x S per-state emissions
+    alpha = _forward_reference(em, ext)
+    beta = _forward_reference(np.ascontiguousarray(em[::-1, ::-1]), ext[::-1])[::-1, ::-1]
+
+    log_p = alpha[-1, -1]
+    if ext.size > 1:
+        log_p = np.logaddexp(log_p, alpha[-1, -2])
+
+    # state occupancies: alpha and beta both include frame t's emission
+    occ = np.exp(alpha + beta - em - log_p)
+    grad = np.zeros_like(lp)
+    np.subtract.at(grad, (slice(None), ext), occ)
+
+    loss = float(-log_p)
+    return LossResult(loss, grad, [loss])
 
 
 def product_form_check(logp, c1, c2):
@@ -50,8 +104,6 @@ def random_logp(rng, T, K):
 
 def random_instance(rng, max_T=8, max_syms=3, max_L=3, feasible=True):
     """Random (logp, labels) pair; resamples until feasible when asked."""
-    from mhctc.ctc import min_frames
-
     while True:
         n_syms = int(rng.integers(1, max_syms + 1))
         T = int(rng.integers(1, max_T + 1))

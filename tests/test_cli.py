@@ -302,6 +302,17 @@ def test_malformed_manifest_record_is_a_config_error(ws, tmp_path, capsys):
     assert not (tmp_path / "h.json").exists()
 
 
+@pytest.mark.parametrize("manifest", [{"utterances": []}, [], {"utterances": {}, "alphabet": []}])
+def test_malformed_manifest_top_level_is_a_config_error(ws, tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run("decode", "--ckpt", ws / "ste.ckpt", "--corpus", path,
+               "--out", tmp_path / "h.json") == EXIT_CONFIG
+    assert 'a manifest is a JSON object with lists "utterances" and "alphabet"' in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "h.json").exists()
+
+
 def test_too_short_waveform_is_a_stage_failure(ws, tmp_path, capsys):
     corpus, alphabet = load_corpus(ws / "unlab/manifest.json")
     corpus[0].waveform = corpus[0].waveform[:50]  # shorter than one 25 ms frame

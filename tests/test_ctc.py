@@ -5,6 +5,9 @@ import pytest
 
 from mhctc.alphabet import BLANK
 from mhctc.ctc import (
+    check_labels,
+    check_logp,
+    ctc_lattice,
     ctc_loss,
     expand_labels,
     logits_gradient,
@@ -16,7 +19,13 @@ from mhctc.errors import (
     InvalidLabel,
 )
 
-from helpers import OracleTooLarge, ctc_loss_bruteforce, random_instance, random_logp
+from helpers import (
+    OracleTooLarge,
+    ctc_loss_bruteforce,
+    ctc_loss_reference,
+    random_instance,
+    random_logp,
+)
 
 
 def norm_rows(u):
@@ -176,3 +185,41 @@ class TestProperties:
         eps = 1e-30
         logp = np.log(np.array([[eps, 1.0 - eps]]))
         assert ctc_loss(logp, [1]).loss == pytest.approx(0.0, abs=1e-12)
+
+
+class TestLattice:
+    def test_matches_reference_per_row(self):
+        # mixed T, L and hypothesis counts in one batch; a narrow symbol range
+        # makes repeated labels common, and a quarter of the utterances have
+        # exactly min_frames frames
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            K = int(rng.integers(2, 8))
+            logps, targets = [], []
+            for _ in range(int(rng.integers(1, 6))):
+                hyps = []
+                for _ in range(int(rng.integers(1, 4))):
+                    n_syms = int(rng.integers(1, K))
+                    L = int(rng.integers(0, 11))
+                    hyps.append(tuple(int(i) for i in rng.integers(1, n_syms + 1, L)))
+                need = max(1, *(min_frames(h) for h in hyps))
+                T = need if rng.random() < 0.25 else int(rng.integers(need, 61))
+                scale = float(rng.choice([0.3, 2.0, 30.0]))
+                logp = check_logp(norm_rows(rng.standard_normal((T, K)) * scale))
+                logps.append(logp)
+                targets.append([check_labels(logp, h) for h in hyps])
+            for logp, hyps, res in zip(logps, targets, ctc_lattice(logps, targets)):
+                refs = [ctc_loss_reference(logp, h) for h in hyps]
+                assert res.per_hypothesis == [r.loss for r in refs]
+                grad = refs[0].grad
+                for r in refs[1:]:
+                    grad = grad + r.grad
+                assert np.array_equal(res.grad, grad)
+
+    def test_single_row_is_ctc_loss(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            logp, labels = random_instance(rng, max_T=30, max_syms=5, max_L=8)
+            a, b = ctc_loss(logp, labels), ctc_loss_reference(logp, labels)
+            assert a.loss == b.loss and a.per_hypothesis == [b.loss]
+            assert np.array_equal(a.grad, b.grad)

@@ -7,7 +7,13 @@ from mhctc.ctc import ctc_loss
 from mhctc.errors import InfeasibleAlignment, InvalidInput
 from mhctc.mh import HypothesisSet, mh_ctc_loss
 
-from helpers import ctc_loss_bruteforce, product_form_check, random_instance, random_logp
+from helpers import (
+    ctc_loss_bruteforce,
+    ctc_loss_reference,
+    product_form_check,
+    random_instance,
+    random_logp,
+)
 
 
 def hs(*hyps):
@@ -84,6 +90,26 @@ class TestMhCtcLoss:
         logp = random_logp(np.random.default_rng(6), 4, 3)
         res = mh_ctc_loss(logp, hs((), (1,)))
         assert math.isfinite(res.loss)
+
+
+    def test_duplicate_hypotheses_exactly_double(self):
+        # the duplicate is one lattice row counted twice; x + x == 2 * x exactly
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            logp, labels = random_instance(rng, max_T=20, max_syms=4, max_L=6)
+            single = ctc_loss(logp, labels)
+            double = mh_ctc_loss(logp, hs(labels, labels))
+            assert double.per_hypothesis == [single.loss, single.loss]
+            assert double.loss == 2 * single.loss
+            assert np.array_equal(double.grad, 2 * single.grad)
+
+    def test_empty_hypothesis_rows_match_reference(self):
+        logp = random_logp(np.random.default_rng(11), 6, 3)
+        hyps = ((), (1, 2), (2, 2))
+        res = mh_ctc_loss(logp, hs(*hyps))
+        refs = [ctc_loss_reference(logp, h) for h in hyps]
+        assert res.per_hypothesis == [r.loss for r in refs]
+        assert np.array_equal(res.grad, (refs[0].grad + refs[1].grad) + refs[2].grad)
 
 
 class TestProductFormCheck:

@@ -158,6 +158,36 @@ class TestSgdTrain:
         assert np.isnan(curve[0])
 
 
+    def test_all_infeasible_batches_leave_params_unchanged(self):
+        hs_bad = HypothesisSet(hypotheses=((1,), (2, 2)), source_tags=("a", "b"))
+        data = [(np.zeros((1, 3)), (1, 1, 2)), (np.ones((2, 3)), hs_bad)]
+        m = tiny_model()
+        out, curve = sgd_train(m, data, TrainConfig(epochs=2, batch_size=2))
+        np.testing.assert_array_equal(flatten(out), flatten(m))
+        assert len(curve) == 2 and all(np.isnan(curve))
+
+    def test_infeasible_utterances_leave_the_batch_as_its_feasible_subset(self):
+        rng = np.random.default_rng(4)
+        data = [
+            (rng.standard_normal((8, 3)), (1, 2)),
+            (rng.standard_normal((2, 3)), (1, 1, 2)),  # needs 4 frames
+            (rng.standard_normal((6, 3)), HypothesisSet(((1, 2), (2,)), ("a", "b"))),
+            (rng.standard_normal((3, 3)), HypothesisSet(((1,), (2, 2, 2)), ("a", "b"))),
+            (rng.standard_normal((7, 3)), (2,)),
+        ]
+        cfg = TrainConfig(epochs=1, batch_size=len(data), seed=5)
+        mixed, mixed_curve = sgd_train(tiny_model(), data, cfg)
+        # sgd_train visits dataset[i] for i in default_rng(seed).permutation(n);
+        # lay the subset out so that it is visited in the mixed batch's order
+        visit = [i for i in np.random.default_rng(cfg.seed).permutation(len(data)) if i not in (1, 3)]
+        subset = [None] * len(visit)
+        for i, slot in zip(visit, np.random.default_rng(cfg.seed).permutation(len(visit))):
+            subset[slot] = data[i]
+        sub, sub_curve = sgd_train(tiny_model(), subset, cfg)
+        np.testing.assert_array_equal(flatten(mixed), flatten(sub))
+        assert mixed_curve == sub_curve
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         m = with_lineage(tiny_model(seed=5), "test-stage")
