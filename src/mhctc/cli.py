@@ -246,7 +246,7 @@ def main(argv=None):
     try:
         return COMMANDS[args.command](args)
     except (ConfigError, SizeError, InvalidLabel, InvalidInput, json.JSONDecodeError,
-            FileNotFoundError) as exc:
+            UnicodeDecodeError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MhctcError as exc:

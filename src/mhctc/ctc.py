@@ -42,10 +42,8 @@ class LossResult:
     per_hypothesis: list
 
 
-def expand_labels(labels, n_symbols=None):
+def expand_labels(labels):
     """Interleave blanks around a transcription: (b, c_1, b, ..., c_L, b)."""
-    if n_symbols is not None:
-        labels = validate_transcription(labels, n_symbols)
     ext = np.full(2 * len(labels) + 1, BLANK, dtype=np.int64)
     ext[1::2] = labels
     return ext
@@ -71,17 +69,18 @@ def check_logp(logp):
     return logp
 
 
-def check_labels(logp, labels):
-    """``labels`` as a tuple of indices into checked ``logp``'s K - 1 symbols.
+def check_labels(shape, labels, prefix=""):
+    """``labels`` as a tuple of indices into the K - 1 symbols of a T x K output.
 
-    Raises InfeasibleAlignment when T < min_frames(labels).
+    Raises InfeasibleAlignment, its message led by ``prefix``, when
+    T < min_frames(labels).
     """
-    T, K = logp.shape
+    T, K = shape
     labels = validate_transcription(labels, K - 1)
     need = min_frames(labels)
     if T < need:
         raise InfeasibleAlignment(
-            f"transcription needs at least {need} frames, got {T}"
+            f"{prefix}transcription needs at least {need} frames, got {T}"
         )
     return labels
 
@@ -89,10 +88,10 @@ def check_labels(logp, labels):
 def ctc_lattice(logps, targets):
     """Exact CTC losses and gradients of a batch of utterances in one recursion.
 
-    ``logps`` are checked T x K matrices (``check_logp``); ``targets[u]``
-    lists utterance u's checked transcriptions (``check_labels``), one per
-    hypothesis.  Returns one LossResult per utterance, whose gradient sums
-    its hypotheses' gradients in order.
+    ``logps`` are checked T x K matrices (``check_logp``) of one K;
+    ``targets[u]`` lists utterance u's checked transcriptions
+    (``check_labels``), one per hypothesis.  Returns one LossResult per
+    utterance, whose gradient sums its hypotheses' gradients in order.
 
     A row is two -inf pad columns, then its states, padded with -inf
     emissions to T_max x S_max.  The rows lie end to end, so a frame is
@@ -107,7 +106,7 @@ def ctc_lattice(logps, targets):
     R = len(rows)
     T = np.array([logps[u].shape[0] for u, _ in rows])
     S = np.array([2 * len(labels) + 1 for _, labels in rows])
-    T_max, W, K = T.max(), 2 + S.max(), max(lp.shape[1] for lp in logps)
+    T_max, W, K = T.max(), 2 + S.max(), logps[0].shape[1]
     em = np.full((T_max, 2 * R, W), NEG_INF)  # em[t, r, 2 + s]: emission of state s
     skip = np.full((2 * R, W), NEG_INF)  # 0 where state s may be entered from s - 2
     sym = np.zeros((R, W), dtype=np.int64)  # symbol of each column; pads get zero occupancy
@@ -159,10 +158,10 @@ def ctc_lattice(logps, targets):
 
     out = []
     for u, hyps in enumerate(targets):
-        t, k = logps[u].shape
+        t = len(logps[u])
         rs = [rows[(u, labels)] for labels in hyps]
         per = [float(-log_p[i]) for i in rs]
-        out.append(LossResult(float(sum(per)), sum(grads[i, :t, :k] for i in rs), per))
+        out.append(LossResult(float(sum(per)), sum(grads[i, :t] for i in rs), per))
     return out
 
 
@@ -174,7 +173,7 @@ def ctc_loss(logp, labels):
     Raises InfeasibleAlignment when T < min_frames(labels).
     """
     lp = check_logp(logp)
-    return ctc_lattice([lp], [[check_labels(lp, labels)]])[0]
+    return ctc_lattice([lp], [[check_labels(lp.shape, labels)]])[0]
 
 
 def logits_gradient(logp, grad_logp):

@@ -16,15 +16,7 @@ class InvalidInput(MhctcError):
 
 
 class InfeasibleAlignment(MhctcError):
-    """The transcription cannot be aligned to the available frames.
-
-    ``hypothesis_index`` is set when the failure came from one hypothesis
-    within a multi-hypothesis set, so callers can implement skip policies.
-    """
-
-    def __init__(self, msg, hypothesis_index=None):
-        super().__init__(msg)
-        self.hypothesis_index = hypothesis_index
+    """The transcription cannot be aligned to the available frames."""
 
 
 class ShapeError(MhctcError):
@@ -32,11 +24,7 @@ class ShapeError(MhctcError):
 
 
 class DivergedError(MhctcError):
-    """Training produced a non-finite loss. Carries the epoch index."""
-
-    def __init__(self, msg, epoch=None):
-        super().__init__(msg)
-        self.epoch = epoch
+    """Training produced a non-finite loss."""
 
 
 class TooShort(MhctcError):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 # perfbench/tracing.py rebinds ctc_loss here
 from .ctc import check_labels, check_logp, ctc_lattice, ctc_loss  # noqa: F401
-from .errors import InfeasibleAlignment, InvalidInput
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -35,27 +35,21 @@ class HypothesisSet:
         return len(self.hypotheses)
 
 
-def target_labels(logp, target):
-    """Checked transcriptions of a transcription or a HypothesisSet.
+def target_labels(shape, target):
+    """Checked transcriptions of a transcription or a HypothesisSet, for a T x K output.
 
-    An infeasible hypothesis raises InfeasibleAlignment with
-    ``hypothesis_index`` set; the caller decides the skip policy.
+    An infeasible hypothesis raises InfeasibleAlignment naming its index
+    and source tag.
     """
     if not isinstance(target, HypothesisSet):
-        return [check_labels(logp, target)]
-    hyps = []
-    for i, hyp in enumerate(target.hypotheses):
-        try:
-            hyps.append(check_labels(logp, hyp))
-        except InfeasibleAlignment as exc:
-            raise InfeasibleAlignment(
-                f"hypothesis {i} ({target.source_tags[i]}) infeasible: {exc}",
-                hypothesis_index=i,
-            ) from exc
-    return hyps
+        return [check_labels(shape, target)]
+    return [
+        check_labels(shape, hyp, f"hypothesis {i} ({tag}) infeasible: ")
+        for i, (hyp, tag) in enumerate(zip(target.hypotheses, target.source_tags))
+    ]
 
 
 def mh_ctc_loss(logp, hs):
     """Combined loss over all hypotheses in ``hs`` (one lattice row each), summed gradient."""
     lp = check_logp(logp)
-    return ctc_lattice([lp], [target_labels(lp, hs)])[0]
+    return ctc_lattice([lp], [target_labels(lp.shape, hs)])[0]

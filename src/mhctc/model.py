@@ -163,55 +163,44 @@ def backward(params, x, grad_logp):
     return _backward_from(params, xc, h, logp, grad_logp)
 
 
-def _batch_losses(params, dataset, batch):
-    """Yield (loss, parameter gradients) of each feasible utterance of a batch, in order.
-
-    Outputs and targets are all checked before one lattice call serves the
-    batch; infeasible utterances are skipped with a log message.
-    """
-    acts, logps, targets = [], [], []
-    for i in batch:
-        x, target = dataset[i]
-        xc, h, logp = _forward_activations(params, x)
-        logp = check_logp(logp)
-        try:
-            targets.append(target_labels(logp, target))
-        except InfeasibleAlignment as exc:
-            log.warning("skipping infeasible utterance %d: %s", i, exc)
-            continue
-        acts.append((xc, h, logp))
-        logps.append(logp)
-    if acts:
-        for act, res in zip(acts, ctc_lattice(logps, targets)):
-            yield res.loss, _backward_from(params, *act, res.grad)
-
-
 def sgd_train(params, dataset, cfg):
     """Mini-batch SGD on the summed loss over each batch.
 
     ``dataset`` is a list of (features, target) pairs; targets may mix
-    transcriptions and HypothesisSets.  Infeasible utterances are skipped
-    with a log message.  Returns (new params, per-epoch mean-loss curve);
-    fully deterministic given cfg.seed.
+    transcriptions and HypothesisSets.  Every utterance's features and
+    target are checked once, before the first epoch; an infeasible
+    utterance is logged once and left out of every batch.  Returns (new
+    params, per-epoch mean-loss curve); fully deterministic given cfg.seed.
     """
     params = params.copy()
+    targets = {}  # index of each feasible utterance -> its checked transcriptions
+    for i, (x, target) in enumerate(dataset):
+        shape = (len(_check_features(params, x)), params.config.n_outputs)
+        try:
+            targets[i] = target_labels(shape, target)
+        except InfeasibleAlignment as exc:
+            log.warning("skipping infeasible utterance %d: %s", i, exc)
     rng = np.random.default_rng(cfg.seed)
     curve = []
     n = len(dataset)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         losses = []
+        # the batch step stays inline: freeing its arrays on return from a
+        # helper tripled the allocator's page faults (see BENCH_8.json)
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+            batch = [i for i in order[start : start + cfg.batch_size] if i in targets]
+            if not batch:
+                continue
+            acts = [_forward_activations(params, dataset[i][0]) for i in batch]
+            logps = [check_logp(logp) for _, _, logp in acts]
+            results = ctc_lattice(logps, [targets[i] for i in batch])
             grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-            used = 0
-            for loss, g in _batch_losses(params, dataset, batch):
-                losses.append(loss)
+            for (xc, h, _), logp, res in zip(acts, logps, results):
+                losses.append(res.loss)
+                g = _backward_from(params, xc, h, logp, res.grad)
                 for k in grads:
                     grads[k] += g[k]
-                used += 1
-            if used == 0:
-                continue
             norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             if norm > cfg.grad_clip:
                 scale = cfg.grad_clip / norm
@@ -221,7 +210,7 @@ def sgd_train(params, dataset, cfg):
                 tensor -= cfg.learning_rate * grads[k]
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         if losses and not np.isfinite(mean_loss):
-            raise DivergedError(f"non-finite loss at epoch {epoch}", epoch=epoch)
+            raise DivergedError(f"non-finite loss at epoch {epoch}")
         curve.append(mean_loss)
     return params, curve
 
@@ -316,6 +305,8 @@ def load_checkpoint(path):
         if len(buf) != nbytes:
             raise InvalidInput(f"{path}: truncated: tensor {name} has {len(buf)} of {nbytes} bytes")
         tensors[name] = np.frombuffer(buf).reshape(shape).copy()
+        if not np.all(np.isfinite(tensors[name])):
+            raise InvalidInput(f"{path}: tensor {name} contains non-finite values")
         offset += nbytes
     if offset != len(data):
         raise InvalidInput(f"{path}: {len(data) - offset} trailing bytes after the last tensor")

@@ -15,7 +15,6 @@ class WerReport:
     insertions: int = 0
     deletions: int = 0
     ref_words: int = 0
-    flagged: bool = False
 
     @property
     def errors(self):
@@ -24,7 +23,7 @@ class WerReport:
     @property
     def wer(self):
         if self.ref_words == 0:
-            # empty reference: sentinel 100*I/1, flagged upstream
+            # empty reference: sentinel 100*I/1
             return 100.0 * self.insertions
         return 100.0 * self.errors / self.ref_words
 
@@ -34,7 +33,6 @@ class WerReport:
             insertions=self.insertions + other.insertions,
             deletions=self.deletions + other.deletions,
             ref_words=self.ref_words + other.ref_words,
-            flagged=self.flagged or other.flagged,
         )
 
 
@@ -72,7 +70,6 @@ def edit_distance(ref, hyp):
         insertions=ins,
         deletions=d,
         ref_words=n,
-        flagged=(n == 0 and m > 0),
     )
 
 

@@ -11,7 +11,7 @@ from mhctc.audio import load_corpus, save_corpus
 from mhctc.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_parser, main
 from mhctc.decode import DecodeConfig, beam_decode
 from mhctc.features import FeatureConfig, cmn, fbank, ste
-from mhctc.model import TrainConfig, forward, load_checkpoint, sgd_train
+from mhctc.model import TrainConfig, forward, load_checkpoint, save_checkpoint, sgd_train
 from mhctc.pipeline import ExperimentPlan
 
 TRAINABLE = ("supervised-labeled", "supervised-all", "semi-sup-A", "semi-sup-B", "mh-ctc")
@@ -181,6 +181,41 @@ def test_bad_checkpoint_is_a_config_error(ws, tmp_path, capsys, kind, command):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert re.search(message, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "--mode", "beam"],
+    ["decode", "--mode", "greedy"],
+    ["adapt", "--condition", "supervised-labeled"],
+], ids=["decode-beam", "decode-greedy", "adapt"])
+def test_non_finite_checkpoint_tensor_is_a_config_error(ws, tmp_path, capsys, argv):
+    params, symbols, fcfg = load_checkpoint(ws / "ste.ckpt")
+    params.w2[:] = np.nan
+    save_checkpoint(params, tmp_path / "nan.ckpt", fcfg, alphabet_symbols=symbols)
+    out = tmp_path / "out"
+    inputs = ["--corpus", ws / "unlab/manifest.json"] if argv[0] == "decode" else [
+        "--labeled", ws / "lab/manifest.json", *ADAPT_TRAIN]
+    assert run(*argv, "--ckpt", tmp_path / "nan.ckpt", *inputs, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "tensor w2 contains non-finite values" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "score", "experiment"])
+def test_non_utf8_input_is_a_config_error(ws, tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    argv = {
+        "decode": ["decode", "--ckpt", ws / "ste.ckpt", "--corpus", bad,
+                   "--out", tmp_path / "h.json"],
+        "score": ["score", "--ref", ws / "hypsA.json", "--hyp", bad],
+        "experiment": ["experiment", "--config", bad, "--out", tmp_path / "out"],
+    }[command]
+    assert run(*argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "h.json").exists()
+    assert not list(tmp_path.glob("out/run-*"))
 
 
 def test_missing_hypothesis_id_is_a_config_error(ws, tmp_path, capsys):

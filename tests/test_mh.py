@@ -61,9 +61,8 @@ class TestMhCtcLoss:
 
     def test_infeasible_carries_index(self):
         logp = random_logp(np.random.default_rng(3), 2, 3)
-        with pytest.raises(InfeasibleAlignment) as exc:
+        with pytest.raises(InfeasibleAlignment, match=r"^hypothesis 1 \(sys1\) infeasible: "):
             mh_ctc_loss(logp, hs((1,), (1, 1, 2)))
-        assert exc.value.hypothesis_index == 1
 
     def test_additivity(self):
         rng = np.random.default_rng(4)

@@ -1,8 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
 from mhctc.ctc import ctc_loss
-from mhctc.errors import ShapeError
+from mhctc.errors import InvalidLabel, ShapeError
 from mhctc.features import FeatureConfig
 from mhctc.mh import HypothesisSet
 from mhctc.model import (
@@ -154,9 +156,26 @@ class TestSgdTrain:
 
     def test_infeasible_skipped(self, caplog):
         data = [(np.zeros((1, 3)), (1, 1, 2))]  # needs 4 frames, has 1
-        _, curve = sgd_train(tiny_model(), data, TrainConfig(epochs=1))
-        assert np.isnan(curve[0])
+        with caplog.at_level(logging.WARNING, logger="mhctc.model"):
+            _, curve = sgd_train(tiny_model(), data, TrainConfig(epochs=3))
+        assert len(curve) == 3 and all(np.isnan(curve))
+        # feasibility is decided once per training run, not once per epoch
+        skips = [r for r in caplog.records if "skipping infeasible utterance" in r.getMessage()]
+        assert len(skips) == 1
+        assert skips[0].getMessage() == (
+            "skipping infeasible utterance 0: transcription needs at least 4 frames, got 1")
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_bad_features_raise_even_when_infeasible(self, epochs):
+        rng = np.random.default_rng(6)
+        data = [(rng.standard_normal((8, 3)), (1, 2)), (np.zeros((1, 5)), (1, 1, 2))]
+        with pytest.raises(ShapeError):
+            sgd_train(tiny_model(), data, TrainConfig(epochs=epochs))
+
+    def test_invalid_label_raises_before_any_epoch(self):
+        data = [(np.zeros((8, 3)), (1, 3))]  # 3 outputs: symbols 1 and 2
+        with pytest.raises(InvalidLabel):
+            sgd_train(tiny_model(), data, TrainConfig(epochs=0))
 
     def test_all_infeasible_batches_leave_params_unchanged(self):
         hs_bad = HypothesisSet(hypotheses=((1,), (2, 2)), source_tags=("a", "b"))
