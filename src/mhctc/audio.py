@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .alphabet import LabelAlphabet
-from .errors import ConfigError, InvalidInput, check_ints, check_reals
+from .errors import ConfigError, InvalidInput, check_ints, check_reals, read_text
 
 NOISE_KINDS = ("none", "white", "babble", "bandlimited")
 RECORD_TYPES = dict(id=str, path=str, transcription=str, sample_rate=int, condition=str)
@@ -206,10 +206,26 @@ def save_corpus(corpus, alphabet, out_dir):
     return out / "manifest.json"
 
 
+def _read_pcm(path, sample_rate, where):
+    """Samples of a mono 16-bit WAV recorded at ``sample_rate``; ConfigError otherwise."""
+    if sample_rate < 1:
+        raise ConfigError(f"{where}: sample_rate must be positive, got {sample_rate}")
+    try:
+        with wave.open(str(path), "rb") as w:
+            shape = (w.getnchannels(), 8 * w.getsampwidth(), w.getframerate())
+            pcm = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
+    except (OSError, EOFError, wave.Error) as exc:
+        raise ConfigError(f"{where}: cannot read WAV file {path}: {exc}") from exc
+    if shape != (1, 16, sample_rate):
+        raise ConfigError(f"{where}: {path} has {shape[0]} channel(s) of {shape[1]}-bit samples"
+                          f" at {shape[2]} Hz; expected mono 16-bit at {sample_rate} Hz")
+    return pcm
+
+
 def load_corpus(manifest_path):
     """Read a manifest written by save_corpus; utterance ids must be unique."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
+    manifest = json.loads(read_text(manifest_path))
     if not (isinstance(manifest, dict)
             and all(isinstance(manifest.get(key), list) for key in ("utterances", "alphabet"))):
         raise ConfigError(
@@ -225,9 +241,8 @@ def load_corpus(manifest_path):
         if rec["id"] in ids:
             raise ConfigError(f"{manifest_path}: duplicate utterance id {rec['id']!r}")
         ids.add(rec["id"])
-        with wave.open(str(manifest_path.parent / rec["path"]), "rb") as w:
-            n = w.getnframes()
-            pcm = np.frombuffer(w.readframes(n), dtype="<i2")
+        pcm = _read_pcm(manifest_path.parent / rec["path"], rec["sample_rate"],
+                        f"{manifest_path}: utterance record {i} ({rec['id']!r})")
         corpus.append(
             Utterance(
                 id=rec["id"],

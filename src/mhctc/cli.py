@@ -21,7 +21,7 @@ from pathlib import Path
 from .alphabet import LabelAlphabet
 from .audio import NOISE_KINDS, SynthConfig, load_corpus, save_corpus, synth_corpus
 from .decode import DecodeConfig, decode
-from .errors import ConfigError, InvalidInput, InvalidLabel, MhctcError, SizeError
+from .errors import ConfigError, InvalidInput, InvalidLabel, MhctcError, SizeError, read_text
 from .features import FeatureConfig
 from .model import TrainConfig, load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -117,7 +117,7 @@ def build_parser():
 
 
 def _load_hyps(path):
-    data = json.loads(Path(path).read_text())
+    data = json.loads(read_text(path))
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object of id -> label list")
     try:
@@ -211,7 +211,7 @@ def cmd_score(args):
 def cmd_experiment(args):
     overrides = {}
     if args.config:
-        overrides = json.loads(Path(args.config).read_text())
+        overrides = json.loads(read_text(args.config))
         if not isinstance(overrides, dict):
             raise ConfigError("experiment config must be a JSON object")
     try:
@@ -246,7 +246,7 @@ def main(argv=None):
     try:
         return COMMANDS[args.command](args)
     except (ConfigError, SizeError, InvalidLabel, InvalidInput, json.JSONDecodeError,
-            UnicodeDecodeError, FileNotFoundError) as exc:
+            FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MhctcError as exc:

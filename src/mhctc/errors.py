@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer- and real-field checks."""
+"""Exception types shared across the package, the integer- and real-field checks, and text input."""
 
 import math
+from pathlib import Path
 
 
 class MhctcError(Exception):
@@ -52,7 +53,15 @@ def check_ints(minimum, **values):
 def check_reals(minimum=-math.inf, strict=False, **values):
     """Raise ConfigError unless every value is a finite real number >= minimum (> when strict)."""
     for name, value in values.items():
-        real = isinstance(value, (int, float)) and math.isfinite(value)
+        real = isinstance(value, (int, float)) and type(value) is not bool and math.isfinite(value)
         if not real or value < minimum or (strict and value == minimum):
             bound = f" {'>' if strict else '>='} {minimum}" if minimum > -math.inf else ""
             raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
+
+
+def read_text(path):
+    """The contents of a UTF-8 text file; ConfigError naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc

@@ -1,18 +1,19 @@
 """FBANK and STE feature front-ends with delta/acceleration appending.
 
 FBANK: Hann window -> magnitude STFT -> mel triangular filterbank -> log.
-STE:   mel-spaced triangular band masks applied to the full spectrum ->
+STE:   mel-spaced Gaussian band weights applied to the full spectrum ->
        per-band time-domain envelope (full-wave rectify + 30 Hz low-pass)
        -> frame average -> log.
 Both use the same framing, so frame counts always agree.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import butter, filtfilt
 
-from .errors import ConfigError, TooShort, check_ints
+from .errors import ConfigError, TooShort, check_ints, check_reals
 
 LOG_FLOOR_VALUE = 1e-10
 
@@ -31,6 +32,11 @@ class FeatureConfig:
         if self.kind not in ("fbank", "ste"):
             raise ConfigError("feature kind must be 'fbank' or 'ste'")
         check_ints(1, n_bands=self.n_bands)
+        check_reals(0, strict=True, frame_ms=self.frame_ms, hop_ms=self.hop_ms,
+                    env_cutoff_hz=self.env_cutoff_hz)
+        check_reals(0, fmin=self.fmin)
+        if type(self.add_deltas) is not bool:
+            raise ConfigError(f"add_deltas must be a bool, got {self.add_deltas!r}")
 
     @property
     def dim(self):
@@ -69,9 +75,22 @@ def _triangle_weights(freqs, edges):
     return weights
 
 
+def _check_below_nyquist(sample_rate, **freqs):
+    for name, hz in freqs.items():
+        if hz >= sample_rate / 2.0:
+            raise ConfigError(
+                f"{name} {hz:g} Hz is not below the {sample_rate / 2.0:g} Hz Nyquist frequency"
+            )
+
+
 def _framing(n_samples, sample_rate, cfg):
     flen = int(round(cfg.frame_ms * sample_rate / 1000.0))
     hop = int(round(cfg.hop_ms * sample_rate / 1000.0))
+    if min(flen, hop) < 1:
+        raise ConfigError(
+            f"frame_ms {cfg.frame_ms:g} and hop_ms {cfg.hop_ms:g} must each span"
+            f" at least one sample at {sample_rate} Hz"
+        )
     if n_samples < flen:
         raise TooShort(f"waveform of {n_samples} samples < one {flen}-sample frame")
     n_frames = (n_samples - flen) // hop + 1
@@ -103,6 +122,7 @@ def fbank(utt, cfg):
         raise ConfigError("fbank() requires cfg.kind == 'fbank'")
     x = np.asarray(utt.waveform, dtype=np.float64)
     sr = utt.sample_rate
+    _check_below_nyquist(sr, fmin=cfg.fmin)
     flen, hop, n_frames = _framing(x.size, sr, cfg)
     idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = x[idx] * np.hanning(flen)
@@ -128,23 +148,37 @@ def _gaussian_weights(freqs, edges):
     return weights
 
 
+@lru_cache(maxsize=8)
+def _envelope_filter(cutoff_hz, sample_rate):
+    """(b, a) of the 4th-order Butterworth low-pass that smooths each band envelope."""
+    return butter(4, cutoff_hz / (sample_rate / 2.0))
+
+
 def ste(utt, cfg):
-    """Subband temporal envelope features for one utterance."""
+    """Subband temporal envelope features for one utterance.
+
+    Each row of the batched irfft and filtfilt runs the same 1-D
+    computation as a call on that band alone, so the result is
+    bit-identical to a per-band loop.  The framed mean stays per band:
+    a 3-D mean sums in another order and changes the last bits.
+    """
     if cfg.kind != "ste":
         raise ConfigError("ste() requires cfg.kind == 'ste'")
     x = np.asarray(utt.waveform, dtype=np.float64)
     sr = utt.sample_rate
+    _check_below_nyquist(sr, fmin=cfg.fmin, env_cutoff_hz=cfg.env_cutoff_hz)
     flen, hop, n_frames = _framing(x.size, sr, cfg)
     spec = np.fft.rfft(x)
     freqs = np.fft.rfftfreq(x.size, 1.0 / sr)
-    masks = _gaussian_weights(freqs, mel_band_edges(cfg.n_bands, sr, cfg.fmin))
-    b, a = butter(4, cfg.env_cutoff_hz / (sr / 2.0))
+    edges = mel_band_edges(cfg.n_bands, sr, cfg.fmin)
+    # masks and the complex bands stay unnamed, so they are freed before
+    # filtfilt makes its three n_bands x n_samples copies
+    bands = np.abs(np.fft.irfft(spec * _gaussian_weights(freqs, edges), x.size, axis=1))
+    env = filtfilt(*_envelope_filter(cfg.env_cutoff_hz, sr), bands, axis=1)
     static = np.zeros((n_frames, cfg.n_bands))
     idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
     for k in range(cfg.n_bands):
-        band = np.fft.irfft(spec * masks[k], x.size)
-        env = filtfilt(b, a, np.abs(band))
-        static[:, k] = np.log(np.maximum(env[idx].mean(axis=1), LOG_FLOOR_VALUE))
+        static[:, k] = np.log(np.maximum(env[k][idx].mean(axis=1), LOG_FLOOR_VALUE))
     return _append_deltas(static) if cfg.add_deltas else static
 
 

@@ -3,11 +3,19 @@
 import itertools
 
 import numpy as np
+from scipy.signal import butter, filtfilt
 
 from mhctc.alphabet import BLANK, validate_transcription
 from mhctc.ctc import NEG_INF, LossResult, check_logp, collapse_path, expand_labels, min_frames
 from mhctc.decode import DecodeConfig, DecodedHypothesis
-from mhctc.errors import InfeasibleAlignment, MhctcError
+from mhctc.errors import ConfigError, InfeasibleAlignment, MhctcError
+from mhctc.features import (
+    LOG_FLOOR_VALUE,
+    _append_deltas,
+    _framing,
+    _gaussian_weights,
+    mel_band_edges,
+)
 
 ORACLE_GUARD = 10**7
 
@@ -167,6 +175,30 @@ def beam_decode_reference(logp, cfg=DecodeConfig()):
         beams = dict(sorted(nxt.items(), key=_rank)[: cfg.beam_width])
     best, (pb, pnb) = next(iter(beams.items()))  # beams are kept in rank order
     return DecodedHypothesis(labels=best, log_prob=float(np.logaddexp(pb, pnb)))
+
+
+def ste_reference(utt, cfg):
+    """Per-band STE: one irfft and one filtfilt per band.
+
+    Reference for the batched ``mhctc.features.ste``, which must return
+    byte-identical features.
+    """
+    if cfg.kind != "ste":
+        raise ConfigError("ste() requires cfg.kind == 'ste'")
+    x = np.asarray(utt.waveform, dtype=np.float64)
+    sr = utt.sample_rate
+    flen, hop, n_frames = _framing(x.size, sr, cfg)
+    spec = np.fft.rfft(x)
+    freqs = np.fft.rfftfreq(x.size, 1.0 / sr)
+    masks = _gaussian_weights(freqs, mel_band_edges(cfg.n_bands, sr, cfg.fmin))
+    b, a = butter(4, cfg.env_cutoff_hz / (sr / 2.0))
+    static = np.zeros((n_frames, cfg.n_bands))
+    idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
+    for k in range(cfg.n_bands):
+        band = np.fft.irfft(spec * masks[k], x.size)
+        env = filtfilt(b, a, np.abs(band))
+        static[:, k] = np.log(np.maximum(env[idx].mean(axis=1), LOG_FLOOR_VALUE))
+    return _append_deltas(static) if cfg.add_deltas else static
 
 
 def recursive_edit_distance(ref, hyp):

@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import wave
 
 import numpy as np
 import pytest
@@ -213,9 +214,72 @@ def test_non_utf8_input_is_a_config_error(ws, tmp_path, capsys, command):
         "experiment": ["experiment", "--config", bad, "--out", tmp_path / "out"],
     }[command]
     assert run(*argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("configuration error:")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"{bad}: not UTF-8 text" in err
     assert not (tmp_path / "h.json").exists()
     assert not list(tmp_path.glob("out/run-*"))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("hop_ms", 0, "hop_ms must be a finite number > 0, got 0"),
+    ("frame_ms", -5, "frame_ms must be a finite number > 0, got -5"),
+    ("hop_ms", "10", "hop_ms must be a finite number > 0, got '10'"),
+    ("env_cutoff_hz", 0, "env_cutoff_hz must be a finite number > 0"),
+    ("fmin", -1, "fmin must be a finite number >= 0"),
+    ("add_deltas", 1, "add_deltas must be a bool, got 1"),
+    ("hop_ms", 0.01, "must each span at least one sample at 8000 Hz"),
+    ("fmin", 5000, "fmin 5000 Hz is not below the 4000 Hz Nyquist frequency"),
+    ("env_cutoff_hz", 4000, "env_cutoff_hz 4000 Hz is not below the 4000 Hz Nyquist"),
+], ids=["zero-hop", "negative-frame", "string-hop", "zero-cutoff", "negative-fmin",
+        "int-deltas", "sub-sample-hop", "fmin-above-nyquist", "cutoff-at-nyquist"])
+def test_bad_front_end_field_is_a_config_error(ws, tmp_path, capsys, field, value, message):
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(ws / "ste.ckpt", bad, lambda h: h["features"].update({field: value}))
+    assert run("decode", "--ckpt", bad, "--corpus", ws / "unlab/manifest.json",
+               "--out", tmp_path / "h.json") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / "h.json").exists()
+
+
+def write_wav(path, channels=1, width=2, rate=8000):
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(channels)
+        w.setsampwidth(width)
+        w.setframerate(rate)
+        w.writeframes(bytes(channels * width * 400))
+
+
+BAD_WAVS = {
+    "not-a-wav": (lambda wav, rec: wav.write_text("not audio\n"), "cannot read WAV file"),
+    "empty": (lambda wav, rec: wav.write_bytes(b""), "cannot read WAV file"),
+    "missing": (lambda wav, rec: wav.unlink(), "cannot read WAV file"),
+    "stereo": (lambda wav, rec: write_wav(wav, channels=2),
+               "has 2 channel(s) of 16-bit samples at 8000 Hz"),
+    "8-bit": (lambda wav, rec: write_wav(wav, width=1), "has 1 channel(s) of 8-bit samples"),
+    "zero-rate": (lambda wav, rec: rec.update(sample_rate=0), "sample_rate must be positive, got 0"),
+    "rate-mismatch": (lambda wav, rec: rec.update(sample_rate=16000),
+                      "at 8000 Hz; expected mono 16-bit at 16000 Hz"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_WAVS))
+def test_bad_wav_file_is_a_config_error(ws, tmp_path, capsys, kind):
+    shutil.copytree(ws / "unlab", tmp_path / "bad")
+    path = tmp_path / "bad/manifest.json"
+    manifest = json.loads(path.read_text())
+    record = manifest["utterances"][1]
+    wav = tmp_path / "bad" / record["path"]
+    edit, message = BAD_WAVS[kind]
+    edit(wav, record)
+    path.write_text(json.dumps(manifest))
+    assert run("decode", "--ckpt", ws / "ste.ckpt", "--corpus", path,
+               "--out", tmp_path / "h.json") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert f"utterance record 1 ({record['id']!r})" in err
+    assert kind == "zero-rate" or str(wav) in err
+    assert not (tmp_path / "h.json").exists()
 
 
 def test_missing_hypothesis_id_is_a_config_error(ws, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from helpers import ste_reference
 
 from mhctc.alphabet import LabelAlphabet
 from mhctc.audio import (
+    NOISE_KINDS,
     SynthConfig,
     Utterance,
     load_corpus,
@@ -143,6 +145,32 @@ class TestSte:
         corpus = synth_corpus(SynthConfig(alphabet=ALPHABET, seed=5), 3)
         for u in corpus:
             assert fbank(u, cfg_f).shape[0] == ste(u, cfg_s).shape[0]
+
+
+def ste_cases():
+    """Seeded utterances for the batched-STE identity test.
+
+    Every noise kind, plus white-noise waveforms whose lengths take
+    pocketfft's slow path (a prime, and 8,716 = 4 * 2,179) and one of
+    exactly one 200-sample frame.
+    """
+    utts = [u for kind in NOISE_KINDS
+            for u in synth_corpus(SynthConfig(alphabet=ALPHABET, noise_kind=kind, seed=7), 2)]
+    rng = np.random.default_rng(9)
+    for n in (4099, 8716, 200):
+        utts.append(Utterance(id=f"n{n}", waveform=0.3 * rng.standard_normal(n),
+                              labels=(), sample_rate=8000, condition="noise"))
+    return utts
+
+
+@pytest.mark.parametrize("cfg", [
+    FeatureConfig(kind="ste"),
+    FeatureConfig(kind="ste", n_bands=1),
+    FeatureConfig(kind="ste", add_deltas=False),
+], ids=["12-bands", "1-band", "no-deltas"])
+def test_ste_matches_per_band_reference(cfg):
+    for u in ste_cases():
+        assert ste(u, cfg).tobytes() == ste_reference(u, cfg).tobytes(), u.id
 
 
 class TestFeatureCache:
