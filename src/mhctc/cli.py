@@ -120,10 +120,10 @@ def _load_hyps(path):
     data = json.loads(read_text(path))
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object of id -> label list")
-    try:
-        return {uid: tuple(int(v) for v in labels) for uid, labels in data.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: label lists must hold integers: {exc}") from exc
+    for uid, labels in data.items():
+        if not isinstance(labels, list) or any(type(v) is not int for v in labels):
+            raise ConfigError(f"{path}: labels of {uid!r} must hold integers, got {labels!r}")
+    return {uid: tuple(labels) for uid, labels in data.items()}
 
 
 def cmd_synth(args):
@@ -245,8 +245,9 @@ def main(argv=None):
     )
     try:
         return COMMANDS[args.command](args)
+    # an OSError (missing file, a directory given for a file, ...) names its path
     except (ConfigError, SizeError, InvalidLabel, InvalidInput, json.JSONDecodeError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MhctcError as exc:

@@ -48,39 +48,69 @@ def greedy_decode(logp):
 def beam_decode(logp, cfg=DecodeConfig()):
     """CTC prefix beam search (Hannun et al. 2014, Algorithm 1); returns the best final prefix.
 
-    Each frame scores every kept prefix and its extension by every symbol
-    as one array.  A slot of a new prefix sums at most two terms, its own
-    repeat and its parent's extension, and ``np.logaddexp`` is exactly
-    commutative, so no order of accumulation can change a mass.
+    Kept prefixes are integer nodes of a trie.  Each frame scores kept
+    prefix i as entry (i, 0) of one n x K table and its extension by symbol
+    k as entry (i, k).  A slot of a new prefix sums at most two terms, its
+    own repeat and its parent's extension, and ``np.logaddexp`` is exactly
+    commutative, so no order of accumulation can change a mass.  An
+    extension has no blank mass, and ``logaddexp(-inf, v) == v``, so its
+    entry is already its total.
     """
     logp = np.asarray(logp, dtype=np.float64)
     K, W = logp.shape[1], cfg.beam_width
-    # kept prefixes, their log masses ending in blank / non-blank, and their last symbols
-    prefixes, pb, pnb, last = [()], np.zeros(1), np.full(1, NEG_INF), np.zeros(1, dtype=int)
+    # the trie: parent node * K + symbol -> child node, and each node's parent
+    trie, up = {}, [-1]
+    # kept nodes, prefixes and last symbols (BLANK for the empty prefix), and
+    # the log masses of each in total and ending in blank / non-blank
+    nodes, prefixes, lasts = [0], [()], [BLANK]
+    total, pb, pnb, last = np.zeros(1), np.zeros(1), np.full(1, NEG_INF), np.zeros(1, dtype=int)
+    # entry of each kept parent's extension that is a kept child, and that child
+    src = dst = np.zeros(0, dtype=int)
     for row in logp:
-        total = np.logaddexp(pb, pnb)
-        # candidate (i, 0) is kept prefix i itself and (i, k) is prefix i extended by
-        # symbol k; extending by the last symbol needs a blank in between
-        cand_pb = np.full((len(prefixes), K), NEG_INF)
-        cand_pb[:, BLANK] = total + row[BLANK]
-        cand_pnb = np.where(last[:, None] == np.arange(K), pb[:, None], total[:, None]) + row
-        cand_pnb[:, BLANK] = pnb + row[last]  # -inf for the empty prefix
-        # a kept prefix whose parent is kept also takes that parent's extension
-        index = {p: i for i, p in enumerate(prefixes)}
-        parent = np.array([index.get(p[:-1], -1) if p else -1 for p in prefixes])
-        child = np.flatnonzero(parent >= 0)
-        merged = (parent[child], last[child])
-        cand_pnb[child, BLANK] = np.logaddexp(cand_pnb[child, BLANK], cand_pnb[merged])
-        live = np.delete(np.arange(cand_pnb.size), parent[child] * K + last[child])
-        neg = -np.logaddexp(cand_pb, cand_pnb).ravel()
-        if live.size > W:  # keep all tied with the W-th largest mass; the sort breaks ties
-            live = live[neg[live] <= np.partition(neg[live], W - 1)[W - 1]]
-        ranked = sorted((m, prefixes[c // K] + (c % K,) if c % K else prefixes[c // K], c)
-                        for c, m in zip(live.tolist(), neg[live].tolist()))[:W]
-        _, prefixes, order = zip(*ranked)
-        pb, pnb = np.take(cand_pb, order), np.take(cand_pnb, order)
-        last = np.array([p[-1] if p else BLANK for p in prefixes])
-    return DecodedHypothesis(labels=prefixes[0], log_prob=float(np.logaddexp(pb[0], pnb[0])))
+        table = np.add.outer(total, row)
+        # extending by the last symbol needs a blank in between; the empty
+        # prefix's entry (i, BLANK) gets pb + row[BLANK], its own value, as pb == total
+        r = row[last]
+        table.put(np.arange(0, table.size, K) + last, pb + r)
+        nb = pnb + r
+        if dst.size:  # a kept child takes its parent's extension, which is then dead (NaN)
+            nb[dst] = np.logaddexp(nb[dst], table.take(src))
+            table.put(src, np.nan)
+        col0 = table[:, BLANK]
+        blanks, nbs = col0.tolist(), nb.tolist()
+        np.logaddexp(col0, nb, out=col0)
+        # keep all tied with the W-th largest live mass; the sort breaks ties.
+        # NaN partitions to the end and compares False, so dead entries never rank
+        mass = table.ravel()
+        kth = max(mass.size - src.size - W, 0)
+        live = (mass >= np.partition(mass, kth)[kth]).nonzero()[0]
+        ranked = sorted((-m, prefixes[c // K] + (c % K,) if c % K else prefixes[c // K], c)
+                        for c, m in zip(live.tolist(), mass[live].tolist()))[:W]
+        old_nodes, old_lasts = nodes, lasts
+        nodes, prefixes, lasts, masses, pbs, pnbs = [], [], [], [], [], []
+        for m, p, c in ranked:
+            i, k = divmod(c, K)
+            node = old_nodes[i]
+            if k:  # an extension: its node is made the first time it is kept
+                node = trie.setdefault(node * K + k, len(up))
+                if node == len(up):
+                    up.append(old_nodes[i])
+            nodes.append(node)
+            prefixes.append(p)
+            lasts.append(k or old_lasts[i])
+            masses.append(-m)
+            pbs.append(NEG_INF if k else blanks[i])
+            pnbs.append(-m if k else nbs[i])
+        pos = dict(zip(nodes, range(len(nodes))))
+        src, dst = [], []
+        for j, node in enumerate(nodes):
+            jp = pos.get(up[node])
+            if jp is not None:
+                src.append(jp * K + lasts[j])
+                dst.append(j)
+        src, dst = np.array(src, dtype=int), np.array(dst, dtype=int)
+        total, pb, pnb, last = np.array(masses), np.array(pbs), np.array(pnbs), np.array(lasts)
+    return DecodedHypothesis(labels=prefixes[0], log_prob=float(total[0]))
 
 
 def decode(logp, cfg=DecodeConfig()):

@@ -62,9 +62,11 @@ def mel_center_frequencies(n_bands, sample_rate, fmin=100.0):
     return mel_band_edges(n_bands, sample_rate, fmin)[1:-1]
 
 
-def _triangle_weights(freqs, edges):
-    """n_bands x len(freqs) triangular filterbank on the given frequency grid."""
-    n_bands = len(edges) - 2
+@lru_cache(maxsize=8)
+def _triangle_weights(flen, sample_rate, n_bands, fmin):
+    """Read-only n_bands x (flen // 2 + 1) triangular filterbank over one frame's rfft bins."""
+    freqs = np.fft.rfftfreq(flen, 1.0 / sample_rate)
+    edges = mel_band_edges(n_bands, sample_rate, fmin)
     weights = np.zeros((n_bands, freqs.size))
     for k in range(n_bands):
         lo, ctr, hi = edges[k], edges[k + 1], edges[k + 2]
@@ -72,6 +74,7 @@ def _triangle_weights(freqs, edges):
         down = (freqs >= ctr) & (freqs < hi)
         weights[k, up] = (freqs[up] - lo) / max(ctr - lo, 1e-12)
         weights[k, down] = (hi - freqs[down]) / max(hi - ctr, 1e-12)
+    weights.flags.writeable = False
     return weights
 
 
@@ -127,8 +130,7 @@ def fbank(utt, cfg):
     idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = x[idx] * np.hanning(flen)
     spec = np.abs(np.fft.rfft(frames, axis=1))
-    freqs = np.fft.rfftfreq(flen, 1.0 / sr)
-    fb = _triangle_weights(freqs, mel_band_edges(cfg.n_bands, sr, cfg.fmin))
+    fb = _triangle_weights(flen, sr, cfg.n_bands, cfg.fmin)
     static = np.log(np.maximum(spec @ fb.T, LOG_FLOOR_VALUE))
     return _append_deltas(static) if cfg.add_deltas else static
 

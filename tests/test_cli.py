@@ -305,11 +305,37 @@ def test_missing_adapt_input_is_a_config_error(ws, tmp_path, capsys, condition, 
 @pytest.mark.parametrize("hyps,message", [
     ([[1, 2]], "expected a JSON object"),
     ({"utt0000": ["x"]}, "must hold integers"),
+    # floats, numeric strings and bools were read as ints: (1, 2, 1)
+    ({"a": [1.9, "2", True]}, "labels of 'a' must hold integers, got [1.9, '2', True]"),
+    ({"a": [1, 2], "b": [False]}, "labels of 'b' must hold integers, got [False]"),
+    ({"a": "12"}, "labels of 'a' must hold integers, got '12'"),
+    ({"a": 3}, "labels of 'a' must hold integers, got 3"),
 ])
 def test_malformed_hypothesis_file_is_a_config_error(ws, tmp_path, capsys, hyps, message):
-    (tmp_path / "bad.json").write_text(json.dumps(hyps))
-    assert run("score", "--ref", ws / "hypsA.json", "--hyp", tmp_path / "bad.json") == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(hyps))
+    assert run("score", "--ref", ws / "hypsA.json", "--hyp", bad) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err and str(bad) in err
+
+
+@pytest.mark.parametrize("command", ["decode", "train", "score", "experiment"])
+def test_directory_for_a_file_is_a_config_error(ws, tmp_path, capsys, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {
+        "decode": ["decode", "--ckpt", folder, "--corpus", ws / "unlab/manifest.json",
+                   "--out", tmp_path / "h.json"],
+        # fails when the trained checkpoint is written
+        "train": ["train", "--corpus", ws / "lab/manifest.json", "--out", folder, *FAST_TRAIN],
+        "score": ["score", "--ref", folder, "--hyp", ws / "hypsA.json"],
+        "experiment": ["experiment", "--config", folder, "--out", tmp_path / "out"],
+    }[command]
+    assert run(*argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(folder) in err
+    assert not (tmp_path / "h.json").exists()
+    assert not list(tmp_path.glob("out/run-*"))
 
 
 def test_non_positive_band_count_is_a_config_error(ws, tmp_path, capsys):

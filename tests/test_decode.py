@@ -8,6 +8,13 @@ from mhctc.errors import ConfigError
 from helpers import beam_decode_reference, exhaustive_best_labeling, random_logp
 
 
+def assert_matches_reference(logp, width):
+    """Labels and log_prob equal (``==``) to the dict search's."""
+    cfg = DecodeConfig(beam_width=width)
+    got, want = beam_decode(logp, cfg), beam_decode_reference(logp, cfg)
+    assert (got.labels, got.log_prob) == (want.labels, want.log_prob)
+
+
 def peaked_logp(path, K, eps=1e-6):
     T = len(path)
     p = np.full((T, K), eps / (K - 1))
@@ -106,6 +113,51 @@ class TestBeam:
         cfg = DecodeConfig(beam_width=W)
         got, want = beam_decode(logp, cfg), beam_decode_reference(logp, cfg)
         assert (got.labels, got.log_prob) == (want.labels, want.log_prob)
+
+    def test_minus_inf_entries_match_reference(self):
+        # impossible symbols, frames where only blank is possible, and frames
+        # where nothing is; W may exceed the live candidates, -inf masses included
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            T, K, W = int(rng.integers(1, 31)), int(rng.integers(2, 8)), int(rng.integers(1, 41))
+            logp = random_logp(rng, T, K)
+            logp[rng.random((T, K)) < 0.3] = -np.inf
+            logp[rng.random(T) < 0.2, 1:] = -np.inf
+            logp[rng.random(T) < 0.05] = -np.inf
+            assert_matches_reference(logp, W)
+
+    @pytest.mark.parametrize("W", [1, 2, 4, 7, 100])
+    def test_beam_wider_than_live_candidates(self, W):
+        # two frames over {blank, 1, 2} give 7 prefixes; the -inf last row
+        # ties them all, so the best is the smallest kept prefix
+        logp = np.array([[-0.7, -1.2, -1.6], [-1.6, -0.5, -np.inf], [-np.inf] * 3])
+        for T in (0, 2, 3):
+            assert_matches_reference(logp[:T], W)
+        hyp = beam_decode(logp[:0], DecodeConfig(beam_width=W))
+        assert (hyp.labels, hyp.log_prob) == ((), 0.0)
+
+    def test_decode_shaped_instances_match_reference(self):
+        # the decode workload's shape: T 60-110, K=6, W=20, one dominant class
+        # per frame, blank most often
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            T = int(rng.integers(60, 111))
+            peak = np.where(rng.random(T) < 0.6, 0, rng.integers(1, 6, T))
+            u = rng.standard_normal((T, 6))
+            u[np.arange(T), peak] += rng.uniform(1.0, 9.0, T)
+            assert_matches_reference(u - np.logaddexp.reduce(u, axis=1, keepdims=True), 20)
+
+    @pytest.mark.parametrize("rows", [
+        # (1,) with (1, 2), then (1, 2) with (1, 2, 1), kept together at W=2
+        [[0.1, 0.8, 0.1]] + [[0.3, 0.2, 0.5]] * 4,
+        # (1,) with (1, 1): the parent's extension by its own last symbol
+        [[0.1, 0.8, 0.1], [0.5, 0.4, 0.1], [0.4, 0.5, 0.1], [0.5, 0.4, 0.1], [0.4, 0.5, 0.1]],
+    ], ids=["child-2", "child-repeat"])
+    def test_kept_parent_and_child_merge(self, rows):
+        # a prefix and its parent stay kept together from frame 1 on, so each
+        # frame folds the parent's extension into the child's non-blank mass
+        for W in (2, 3, 20):
+            assert_matches_reference(np.log(np.array(rows)), W)
 
     def test_invalid_width(self):
         with pytest.raises(ConfigError):

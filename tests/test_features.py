@@ -17,6 +17,7 @@ from mhctc.audio import (
 from mhctc.errors import TooShort
 from mhctc.features import (
     FeatureConfig,
+    _triangle_weights,
     compute_deltas,
     extract,
     fbank,
@@ -171,6 +172,17 @@ def ste_cases():
 def test_ste_matches_per_band_reference(cfg):
     for u in ste_cases():
         assert ste(u, cfg).tobytes() == ste_reference(u, cfg).tobytes(), u.id
+
+
+def test_fbank_filterbank_is_built_once_per_front_end():
+    cfg = FeatureConfig(kind="fbank", n_bands=16, fmin=80.0)
+    u = tone(1000.0)
+    first = fbank(u, cfg)
+    # one 25 ms frame at 8 kHz is 200 samples
+    fb = _triangle_weights(200, 8000, 16, 80.0)
+    assert fb.shape == (16, 101) and not fb.flags.writeable
+    assert _triangle_weights(200, 8000, 16, 80.0) is fb
+    assert fbank(u, cfg).tobytes() == first.tobytes()
 
 
 class TestFeatureCache:
