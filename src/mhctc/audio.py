@@ -56,8 +56,10 @@ class Utterance:
 def symbol_band_centers(alphabet, sample_rate=8000):
     """(low, high) formant-like center pair per symbol, >=200 Hz apart."""
     n = alphabet.n_symbols
+    if n == 0:
+        raise ConfigError("alphabet must hold at least one symbol")
     lo0, hi0 = 500.0, 1900.0
-    step = max(250.0, (1400.0 / max(n, 1)))
+    step = max(250.0, 1400.0 / n)
     centers = []
     for i in range(n):
         f1 = lo0 + i * step

@@ -25,12 +25,14 @@ from .errors import ConfigError, InvalidInput, InvalidLabel, MhctcError, SizeErr
 from .features import FeatureConfig
 from .model import TrainConfig, load_checkpoint, save_checkpoint
 from .pipeline import (
+    CONDITION_TARGETS,
     CONDITIONS,
     AdaptationSplit,
     ExperimentPlan,
     System,
     condition_dataset,
     decode_set,
+    failed_cells,
     format_report,
     init_system,
     labeled_data,
@@ -44,15 +46,6 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
-
-# inputs each adaptable condition needs, as argparse destinations
-ADAPT_INPUTS = {
-    "supervised-labeled": ("labeled",),
-    "supervised-all": ("labeled", "unlabeled"),
-    "semi-sup-A": ("unlabeled", "hyps_a"),
-    "semi-sup-B": ("unlabeled", "hyps_b"),
-    "mh-ctc": ("unlabeled", "hyps_a", "hyps_b"),
-}
 
 
 def _train_args(p, defaults):
@@ -158,25 +151,26 @@ def _load_utts(path):
 
 
 def cmd_adapt(args):
+    sources = CONDITION_TARGETS[args.condition]  # None: no adaptation
     params, symbols, fcfg = load_checkpoint(args.ckpt)
-    if args.condition == "no-adapt":
-        save_checkpoint(params, args.out, fcfg, alphabet_symbols=symbols)
-        print(f"no-adapt: checkpoint copied to {args.out}")
-        return EXIT_OK
-    missing = [k for k in ADAPT_INPUTS[args.condition] if not getattr(args, k)]
-    if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        raise ConfigError(f"{args.condition} requires {flags}")
-    # the feature cache is keyed by utterance id, and two separately
-    # synthesized manifests reuse the same ids
-    labeled = [replace(u, id=f"labeled:{u.id}") for u in _load_utts(args.labeled)]
-    split = AdaptationSplit(labeled=labeled, unlabeled=_load_utts(args.unlabeled), test=[])
-    hyps_a = _load_hyps(args.hyps_a) if args.hyps_a else {}
-    hyps_b = _load_hyps(args.hyps_b) if args.hyps_b else {}
     system = System(name="cli", feature_cfg=fcfg, params=params)
-    data = condition_dataset(args.condition, split, hyps_a, hyps_b, system, {})
-    step = f"cli-adapt:{args.condition}:seed={args.seed}"
-    system = train_system(system, data, _train_cfg_from(args), step)
+    if sources is not None:
+        # --labeled when every target is manual, one flag per other source
+        needs = {"labeled": set(sources) <= {"truth"}, "unlabeled": bool(sources),
+                 "hyps_a": "sysA" in sources, "hyps_b": "sysB" in sources}
+        missing = [k for k, needed in needs.items() if needed and not getattr(args, k)]
+        if missing:
+            flags = ", ".join("--" + k.replace("_", "-") for k in missing)
+            raise ConfigError(f"{args.condition} requires {flags}")
+        # the feature cache is keyed by utterance id, and two separately
+        # synthesized manifests reuse the same ids
+        labeled = [replace(u, id=f"labeled:{u.id}") for u in _load_utts(args.labeled)]
+        split = AdaptationSplit(labeled=labeled, unlabeled=_load_utts(args.unlabeled), test=[])
+        hyps_a = _load_hyps(args.hyps_a) if args.hyps_a else {}
+        hyps_b = _load_hyps(args.hyps_b) if args.hyps_b else {}
+        data = condition_dataset(args.condition, split, hyps_a, hyps_b, system, {})
+        step = f"cli-adapt:{args.condition}:seed={args.seed}"
+        system = train_system(system, data, _train_cfg_from(args), step)
     save_checkpoint(system.params, args.out, fcfg, alphabet_symbols=symbols)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
@@ -224,7 +218,7 @@ def cmd_experiment(args):
     report, run_dir = run_experiment(plan, out_dir=args.out)
     print(format_report(report))
     print(f"run directory: {run_dir}")
-    return EXIT_OK
+    return EXIT_STAGE if failed_cells(report) else EXIT_OK  # report.txt lists the failures
 
 
 COMMANDS = {
@@ -244,6 +238,10 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        # an output file is checked before any input is loaded or model trained
+        out = Path(args.out) if args.command in ("train", "adapt", "decode") else None
+        if out and (out.is_dir() or not out.parent.is_dir()):
+            raise ConfigError(f"cannot write {out}: it is a directory or its folder does not exist")
         return COMMANDS[args.command](args)
     # an OSError (missing file, a directory given for a file, ...) names its path
     except (ConfigError, SizeError, InvalidLabel, InvalidInput, json.JSONDecodeError,

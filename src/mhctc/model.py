@@ -102,11 +102,12 @@ def init_model(config):
 def stack_context(x, context):
     """T x d -> T x d*(2w+1) by concatenating +/- w frames, zero padded."""
     T, d = x.shape
-    w = context
-    padded = np.zeros((T + 2 * w, d))
-    padded[w : w + T] = x
-    cols = [padded[i : i + T] for i in range(2 * w + 1)]
-    return np.concatenate(cols, axis=1)
+    n = 2 * context + 1
+    padded = np.zeros((T + n, d))  # one spare row keeps a window to view when T == 0
+    padded[context : context + T] = x
+    # output row t is the n frames from padded[t] on, contiguous in the flat buffer
+    windows = np.lib.stride_tricks.sliding_window_view(padded.ravel(), n * d)[: T * d : d]
+    return windows.copy()
 
 
 def _check_features(params, x):
@@ -121,8 +122,7 @@ def _check_features(params, x):
 
 
 def _forward_activations(params, x):
-    """Validated input plus every intermediate needed for backprop."""
-    x = _check_features(params, x)
+    """Every intermediate needed for backprop, from features ``_check_features`` passed."""
     xc = stack_context(x, params.config.context)
     h = np.tanh(xc @ params.w1 + params.b1)
     u = h @ params.w2 + params.b2
@@ -132,7 +132,7 @@ def _forward_activations(params, x):
 
 def forward(params, x):
     """Per-frame log-probabilities, rows normalized by log-softmax."""
-    return _forward_activations(params, x)[2]
+    return _forward_activations(params, _check_features(params, x))[2]
 
 
 def _backward_from(params, xc, h, logp, grad_logp):
@@ -159,7 +159,7 @@ def backward(params, x, grad_logp):
     runs back through log-softmax, the affine output layer, tanh, and the
     affine input layer.
     """
-    xc, h, logp = _forward_activations(params, x)
+    xc, h, logp = _forward_activations(params, _check_features(params, x))
     return _backward_from(params, xc, h, logp, grad_logp)
 
 
@@ -173,9 +173,11 @@ def sgd_train(params, dataset, cfg):
     params, per-epoch mean-loss curve); fully deterministic given cfg.seed.
     """
     params = params.copy()
+    feats = []  # checked once here; the batch step reads them unchecked
     targets = {}  # index of each feasible utterance -> its checked transcriptions
     for i, (x, target) in enumerate(dataset):
-        shape = (len(_check_features(params, x)), params.config.n_outputs)
+        feats.append(_check_features(params, x))
+        shape = (len(feats[i]), params.config.n_outputs)
         try:
             targets[i] = target_labels(shape, target)
         except InfeasibleAlignment as exc:
@@ -192,7 +194,7 @@ def sgd_train(params, dataset, cfg):
             batch = [i for i in order[start : start + cfg.batch_size] if i in targets]
             if not batch:
                 continue
-            acts = [_forward_activations(params, dataset[i][0]) for i in batch]
+            acts = [_forward_activations(params, feats[i]) for i in batch]
             logps = [check_logp(logp) for _, _, logp in acts]
             results = ctc_lattice(logps, [targets[i] for i in batch])
             grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}

@@ -43,14 +43,17 @@ from .score import score_corpus
 log = logging.getLogger(__name__)
 
 SCENARIOS = ("clean-train", "multi-condition-train")
-CONDITIONS = (
-    "no-adapt",
-    "supervised-labeled",
-    "semi-sup-A",
-    "semi-sup-B",
-    "mh-ctc",
-    "supervised-all",
-)
+# where each adaptation condition takes the unlabeled subset's targets from:
+# "truth" (manual transcriptions), "sysA" / "sysB" (1-best); None: no adaptation
+CONDITION_TARGETS = {
+    "no-adapt": None,
+    "supervised-labeled": (),
+    "semi-sup-A": ("sysA",),
+    "semi-sup-B": ("sysB",),
+    "mh-ctc": ("sysA", "sysB"),
+    "supervised-all": ("truth",),
+}
+CONDITIONS = tuple(CONDITION_TARGETS)
 
 
 @dataclass
@@ -89,16 +92,18 @@ class ExperimentPlan:
     beam_width: int = 20
 
     def __post_init__(self):
-        for s in self.scenarios:
-            if s not in SCENARIOS:
-                raise ConfigError(f"unknown scenario {s!r}")
-        for c in self.conditions:
-            if c not in CONDITIONS:
-                raise ConfigError(f"unknown condition {c!r}")
+        for name, known in (("scenario", SCENARIOS), ("condition", CONDITIONS)):
+            for value in getattr(self, name + "s"):
+                if value not in known:
+                    raise ConfigError(f"unknown {name} {value!r}")
         # build every config the plan derives once, so that a bad value
         # fails here, before any synthesis, and not inside every grid cell
         check_ints(1, n_train=self.n_train, len_range=self.len_range)
         check_ints(0, split_sizes=self.split_sizes, seeds=self.seeds)
+        for name in ("scenarios", "conditions", "seeds"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be non-empty without repeats, got {values!r}")
         lengths_ok = len(self.split_sizes) == 3 and len(self.len_range) == 2
         if not lengths_ok or self.len_range[0] > self.len_range[1]:
             raise ConfigError("split_sizes must hold 3 sizes and len_range a (min, max) pair")
@@ -219,44 +224,35 @@ def run_pseudo_label_stage(sys_a_hat, sys_b_hat, split, plan, cache):
     return hyps[0], hyps[1]
 
 
-def _pseudo_labels(hyps, utts, source):
-    missing = [u.id for u in utts if u.id not in hyps]
-    if missing:
-        raise ConfigError(f"no {source} hypothesis for unlabeled utterance {missing[0]!r}")
-    return [hyps[u.id] for u in utts]
-
-
 def condition_dataset(condition, split, hyps_a, hyps_b, system, cache):
     """Assemble (features, target) pairs for one adaptation condition.
 
-    ``hyps_a`` / ``hyps_b`` map unlabeled utterance ids to the 1-best
-    hypotheses of systems A and B; features come from ``system``'s front end.
+    The labeled subset keeps its manual transcriptions; each unlabeled
+    utterance gets one target per source in ``CONDITION_TARGETS[condition]``
+    (``hyps_a`` / ``hyps_b``: id -> 1-best of A / B), two as one HypothesisSet.
+    Features come from ``system``'s front end.
     """
-    labeled = labeled_data(system, split.labeled, cache)
-    if condition == "supervised-labeled":
-        return labeled
-    if condition == "supervised-all":
-        return labeled + labeled_data(system, split.unlabeled, cache)
-    unlab_feats = _features_for(system, split.unlabeled, cache)
-    if condition == "semi-sup-A":
-        return labeled + list(zip(unlab_feats, _pseudo_labels(hyps_a, split.unlabeled, "sysA")))
-    if condition == "semi-sup-B":
-        return labeled + list(zip(unlab_feats, _pseudo_labels(hyps_b, split.unlabeled, "sysB")))
-    if condition == "mh-ctc":
-        pairs = zip(
-            _pseudo_labels(hyps_a, split.unlabeled, "sysA"),
-            _pseudo_labels(hyps_b, split.unlabeled, "sysB"),
-        )
-        return labeled + [
-            (x, HypothesisSet(hypotheses=ab, source_tags=("sysA", "sysB")))
-            for x, ab in zip(unlab_feats, pairs)
-        ]
-    raise ConfigError(f"unknown condition {condition!r}")
+    sources = CONDITION_TARGETS.get(condition)
+    if sources is None:
+        raise ConfigError(f"condition {condition!r} has no adaptation data")
+    data = labeled_data(system, split.labeled, cache)
+    if not sources:
+        return data
+    hyps = {"truth": {u.id: u.labels for u in split.unlabeled}, "sysA": hyps_a, "sysB": hyps_b}
+    columns = []
+    for source in sources:
+        missing = [u.id for u in split.unlabeled if u.id not in hyps[source]]
+        if missing:
+            raise ConfigError(f"no {source} hypothesis for unlabeled utterance {missing[0]!r}")
+        columns.append([hyps[source][u.id] for u in split.unlabeled])
+    targets = columns[0] if len(columns) == 1 else [
+        HypothesisSet(hypotheses=hs, source_tags=sources) for hs in zip(*columns)]
+    return data + list(zip(_features_for(system, split.unlabeled, cache), targets))
 
 
 def run_adaptation_condition(condition, initial_a, split, hyps_a, hyps_b, plan, seed, cache):
     """Adapt the initial system-A model under one condition."""
-    if condition == "no-adapt":
+    if CONDITION_TARGETS[condition] is None:
         return initial_a
     data = condition_dataset(condition, split, hyps_a, hyps_b, initial_a, cache)
     step = f"adapt:{condition}:seed={seed}"
@@ -316,6 +312,10 @@ def run_scenario_seed(plan, scenario, seed, run_dir=None):
         wer, _ = score_corpus([(u.labels, hyps[u.id]) for u in split.unlabeled])
         diag[name] = round(wer.wer, 3)
 
+    cell_dir = None
+    if run_dir is not None:
+        cell_dir = Path(run_dir) / scenario / f"seed{seed}"
+        cell_dir.mkdir(parents=True, exist_ok=True)
     results = {}
     for condition in plan.conditions:
         adapted = run_adaptation_condition(
@@ -329,23 +329,13 @@ def run_scenario_seed(plan, scenario, seed, run_dir=None):
             "ref_words": wer.ref_words,
             "lineage": list(adapted.params.lineage),
         }
-        if run_dir is not None:
-            ckpt_dir = Path(run_dir) / scenario / f"seed{seed}"
-            ckpt_dir.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(
-                adapted.params, ckpt_dir / f"{condition}.ckpt", adapted.feature_cfg,
-                alphabet_symbols=alphabet.symbols,
-            )
-    if run_dir is not None:
-        hyp_dir = Path(run_dir) / scenario / f"seed{seed}"
-        hyp_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "sysA": {k: [int(v) for v in vs] for k, vs in sorted(hyps_a.items())},
-            "sysB": {k: [int(v) for v in vs] for k, vs in sorted(hyps_b.items())},
-        }
-        (hyp_dir / "hypotheses.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True)
-        )
+        if cell_dir is not None:
+            save_checkpoint(adapted.params, cell_dir / f"{condition}.ckpt", adapted.feature_cfg,
+                            alphabet_symbols=alphabet.symbols)
+    if cell_dir is not None:
+        payload = {name: {k: [int(v) for v in vs] for k, vs in sorted(hyps.items())}
+                   for name, hyps in (("sysA", hyps_a), ("sysB", hyps_b))}
+        (cell_dir / "hypotheses.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
     return {"conditions": results, "pseudo_label_wer": diag}
 
 
@@ -371,11 +361,9 @@ def run_experiment(plan, out_dir=None):
                 per_seed[str(seed)] = {"error": f"{type(exc).__name__}: {exc}"}
         summary = {}
         for condition in plan.conditions:
-            wers = [
-                per_seed[str(s)]["conditions"][condition]["wer"]
-                for s in plan.seeds
-                if "conditions" in per_seed[str(s)]
-            ]
+            # one entry per seed: the plan rejects repeated seeds
+            wers = [cell["conditions"][condition]["wer"] for cell in per_seed.values()
+                    if "conditions" in cell]
             summary[condition] = {
                 "mean_wer": round(float(np.mean(wers)), 4) if wers else None,
                 "per_seed_wer": wers,
@@ -416,4 +404,12 @@ def format_report(report):
         if rel is not None:
             lines.append(f"relative WER reduction, mh-ctc vs supervised-labeled: {rel:.2f}%")
         lines.append("")
+    lines += [f"failed: {scenario} seed {seed}: {error}"
+              for scenario, seed, error in failed_cells(report)]
     return "\n".join(lines) + "\n"
+
+
+def failed_cells(report):
+    """(scenario, seed, error) of every grid cell that raised."""
+    return [(scenario, seed, cell["error"]) for scenario, entry in report["scenarios"].items()
+            for seed, cell in entry["per_seed"].items() if "error" in cell]

@@ -201,6 +201,20 @@ def ste_reference(utt, cfg):
     return _append_deltas(static) if cfg.add_deltas else static
 
 
+def stack_context_reference(x, context):
+    """Concatenated shifted slices of the zero-padded input.
+
+    Reference for the strided ``mhctc.model.stack_context``, which must
+    return the same values in the same C-contiguous layout.
+    """
+    T, d = x.shape
+    w = context
+    padded = np.zeros((T + 2 * w, d))
+    padded[w : w + T] = x
+    cols = [padded[i : i + T] for i in range(2 * w + 1)]
+    return np.concatenate(cols, axis=1)
+
+
 def recursive_edit_distance(ref, hyp):
     """Plain memoized recursion; oracle for the DP edit distance total."""
     ref, hyp = tuple(ref), tuple(hyp)

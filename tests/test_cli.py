@@ -8,9 +8,11 @@ import wave
 import numpy as np
 import pytest
 
+from mhctc import pipeline
 from mhctc.audio import load_corpus, save_corpus
 from mhctc.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_parser, main
 from mhctc.decode import DecodeConfig, beam_decode
+from mhctc.errors import InvalidInput
 from mhctc.features import FeatureConfig, cmn, fbank, ste
 from mhctc.model import TrainConfig, forward, load_checkpoint, save_checkpoint, sgd_train
 from mhctc.pipeline import ExperimentPlan
@@ -295,6 +297,9 @@ def test_missing_hypothesis_id_is_a_config_error(ws, tmp_path, capsys):
 @pytest.mark.parametrize("condition,flags", [
     ("supervised-labeled", "--labeled"),
     ("mh-ctc", "--unlabeled, --hyps-b"),
+    ("supervised-all", "--labeled, --unlabeled"),
+    ("semi-sup-A", "--unlabeled"),
+    ("semi-sup-B", "--unlabeled, --hyps-b"),
 ])
 def test_missing_adapt_input_is_a_config_error(ws, tmp_path, capsys, condition, flags):
     inputs = {"hyps_a": ws / "hypsA.json"}
@@ -319,18 +324,27 @@ def test_malformed_hypothesis_file_is_a_config_error(ws, tmp_path, capsys, hyps,
     assert err.startswith("configuration error:") and message in err and str(bad) in err
 
 
-@pytest.mark.parametrize("command", ["decode", "train", "score", "experiment"])
-def test_directory_for_a_file_is_a_config_error(ws, tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["decode", "train", "adapt", "decode-out", "score",
+                                     "experiment"])
+def test_directory_for_a_file_is_a_config_error(ws, tmp_path, capsys, monkeypatch, command):
     folder = tmp_path / "folder"
     folder.mkdir()
     argv = {
         "decode": ["decode", "--ckpt", folder, "--corpus", ws / "unlab/manifest.json",
                    "--out", tmp_path / "h.json"],
-        # fails when the trained checkpoint is written
         "train": ["train", "--corpus", ws / "lab/manifest.json", "--out", folder, *FAST_TRAIN],
+        "adapt": ["adapt", "--ckpt", ws / "ste.ckpt", "--condition", "supervised-labeled",
+                  "--labeled", ws / "lab/manifest.json", "--out", folder, *ADAPT_TRAIN],
+        # an output file in a folder that does not exist
+        "decode-out": ["decode", "--ckpt", ws / "ste.ckpt", "--corpus", ws / "unlab/manifest.json",
+                       "--out", folder / "missing" / "h.json"],
         "score": ["score", "--ref", folder, "--hyp", ws / "hypsA.json"],
         "experiment": ["experiment", "--config", folder, "--out", tmp_path / "out"],
     }[command]
+    # --out is checked before any input is loaded or any model trained
+    if command in ("train", "adapt", "decode-out"):
+        for name in ("train_system", "load_corpus", "load_checkpoint"):
+            monkeypatch.setattr(f"mhctc.cli.{name}", lambda *a, **k: pytest.fail("work ran"))
     assert run(*argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and str(folder) in err
@@ -359,9 +373,10 @@ def test_non_positive_band_count_is_a_config_error(ws, tmp_path, capsys):
     ("train", ["--grad-clip", 0], "grad_clip must be a finite number > 0"),
     ("synth", ["--snr-db", "nan"], "snr_db must be a finite number"),
     ("synth", ["--amp-jitter", -0.1], "amp_jitter must be a finite number >= 0"),
+    ("synth", ["--alphabet", ""], "alphabet must hold at least one symbol"),
 ], ids=["n-utts", "synth-seed", "len-range", "batch-size", "train-seed", "context", "epochs",
         "hidden", "negative-learning-rate", "nan-learning-rate", "negative-grad-clip",
-        "zero-grad-clip", "nan-snr", "negative-amp-jitter"])
+        "zero-grad-clip", "nan-snr", "negative-amp-jitter", "empty-alphabet"])
 def test_bad_numeric_flag_is_a_config_error(ws, tmp_path, capsys, command, flags, message):
     if command == "synth":
         argv = ["synth", "--out", tmp_path / "c", "--n-utts", 2]
@@ -404,14 +419,38 @@ def test_bad_plan_fails_before_the_grid(tmp_path, capsys):
     ("freq_jitter", "x", "freq_jitter must be a finite number >= 0, got 'x'"),
     ("snr_db", float("inf"), "snr_db must be a finite number"),
     ("beam_width", 2.5, "beam_width must be a positive integer, got 2.5"),
+    ("alphabet", "", "alphabet must hold at least one symbol"),
+    ("seeds", [], "seeds must be non-empty without repeats, got ()"),
+    ("seeds", [0, 0], "seeds must be non-empty without repeats, got (0, 0)"),
 ])
 def test_bad_plan_value_fails_before_the_grid(tmp_path, capsys, field, value, message):
-    plan = {field: value, "seeds": [0], "n_train": 4, "split_sizes": [1, 1, 1]}
+    plan = {"seeds": [0], "n_train": 4, "split_sizes": [1, 1, 1], field: value}
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("out/run-*"))
+
+
+def test_failed_grid_cell_is_a_stage_failure(tmp_path, capsys, monkeypatch):
+    build = pipeline._build_systems
+
+    def build_or_fail(plan, scenario, *args):
+        if scenario == "multi-condition-train":
+            raise InvalidInput("no systems today")
+        return build(plan, scenario, *args)
+
+    monkeypatch.setattr(pipeline, "_build_systems", build_or_fail)
+    plan = {"seeds": [0], "n_train": 6, "split_sizes": [2, 3, 3], "len_range": [2, 3],
+            "hidden": 8, "train_epochs": 1, "finetune_epochs": 1, "adapt_epochs": 1,
+            "beam_width": 2}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
+    assert code == EXIT_STAGE
+    text = next(tmp_path.glob("out/run-*/report.txt")).read_text()
+    assert text in capsys.readouterr().out
+    assert text.endswith("failed: multi-condition-train seed 0: InvalidInput: no systems today\n")
+    assert "failed: clean-train" not in text
 
 
 def test_malformed_manifest_record_is_a_config_error(ws, tmp_path, capsys):

@@ -20,6 +20,8 @@ from mhctc.model import (
     with_lineage,
 )
 
+from helpers import stack_context_reference
+
 
 def tiny_model(seed=0, feat_dim=3, n_outputs=3, context=1, hidden=5):
     return init_model(ModelConfig(feat_dim=feat_dim, n_outputs=n_outputs,
@@ -65,6 +67,14 @@ class TestStackContext:
         assert xc.shape == (4, 9)
         np.testing.assert_array_equal(xc[:, 3:6], x)
         np.testing.assert_array_equal(xc[0, :3], 0.0)  # zero padding at edges
+
+    @pytest.mark.parametrize("T", [0, 1, 2, 9, 95])
+    @pytest.mark.parametrize("context", [0, 1, 4])
+    def test_matches_reference(self, T, context):
+        x = np.random.default_rng(T * 10 + context).standard_normal((T, 7))
+        got, want = stack_context(x, context), stack_context_reference(x, context)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 class TestBackward:

@@ -110,6 +110,13 @@ class TestPlan:
         ("amp_jitter", float("inf")),
         ("train_noise_kind", "pink"),
         ("alphabet", "abcdefghijklmnop"),
+        ("alphabet", ""),
+        ("seeds", ()),
+        ("seeds", (0, 0)),
+        ("scenarios", ()),
+        ("scenarios", ("clean-train", "clean-train")),
+        ("conditions", ()),
+        ("conditions", ("mh-ctc", "no-adapt", "mh-ctc")),
     ])
     def test_bad_value_rejected_at_construction(self, field, value):
         # every config the plan derives is built up front, not inside a grid cell
@@ -201,6 +208,31 @@ class TestConditionDatasets:
         assert [t for _, t in manual] == [u.labels for u in split.labeled]
         assert all(isinstance(t, HypothesisSet) and len(t.hypotheses) == 2 for _, t in pseudo)
         assert pseudo[0][1].source_tags == ("sysA", "sysB")
+
+    def test_condition_order(self):
+        # the report lists conditions in this order
+        assert CONDITIONS == ("no-adapt", "supervised-labeled", "semi-sup-A", "semi-sup-B",
+                              "mh-ctc", "supervised-all")
+
+    def test_no_adapt_has_no_dataset(self):
+        cache, sys_a, split, hyps = self._setup()
+        with pytest.raises(ConfigError, match="'no-adapt' has no adaptation data"):
+            condition_dataset("no-adapt", split, hyps, hyps, sys_a, cache)
+
+    @pytest.mark.parametrize("condition", CONDITIONS[1:])
+    def test_unlabeled_targets_of_each_condition(self, condition):
+        cache, sys_a, split, _ = self._setup()
+        hyps_a = {u.id: (1,) for u in split.unlabeled}
+        hyps_b = {u.id: (2, 2) for u in split.unlabeled}
+        want = {
+            "supervised-labeled": [],
+            "supervised-all": [u.labels for u in split.unlabeled],
+            "semi-sup-A": [(1,)] * 6,
+            "semi-sup-B": [(2, 2)] * 6,
+            "mh-ctc": [HypothesisSet(((1,), (2, 2)), ("sysA", "sysB"))] * 6,
+        }[condition]
+        data = condition_dataset(condition, split, hyps_a, hyps_b, sys_a, cache)
+        assert [t for _, t in data] == [u.labels for u in split.labeled] + want
 
     def test_feature_cache_keys_on_the_front_end(self):
         # two front ends of one kind share a cache; each must get its own features
