@@ -55,6 +55,3 @@ def validate_transcription(labels, n_symbols):
                 f"label index {i} outside [1, {n_symbols}] (blank is reserved)"
             )
     return tuple(int(i) for i in labels)
-
-
-DEFAULT_ALPHABET = LabelAlphabet(tuple("abcde"))

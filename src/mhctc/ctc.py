@@ -73,11 +73,11 @@ def check_labels(shape, labels, prefix=""):
     """``labels`` as a tuple of indices into the K - 1 symbols of a T x K output.
 
     Raises InfeasibleAlignment, its message led by ``prefix``, when
-    T < min_frames(labels).
+    T < min_frames(labels) or T == 0: the lattice has at least one frame.
     """
     T, K = shape
     labels = validate_transcription(labels, K - 1)
-    need = min_frames(labels)
+    need = max(min_frames(labels), 1)
     if T < need:
         raise InfeasibleAlignment(
             f"{prefix}transcription needs at least {need} frames, got {T}"
@@ -88,7 +88,8 @@ def check_labels(shape, labels, prefix=""):
 def ctc_lattice(logps, targets):
     """Exact CTC losses and gradients of a batch of utterances in one recursion.
 
-    ``logps`` are checked T x K matrices (``check_logp``) of one K;
+    ``logps`` are T x K log-probability matrices of one K (``check_logp``,
+    or the model's log-softmax output in ``sgd_train``);
     ``targets[u]`` lists utterance u's checked transcriptions
     (``check_labels``), one per hypothesis.  Returns one LossResult per
     utterance, whose gradient sums its hypotheses' gradients in order.

@@ -58,10 +58,6 @@ def mel_band_edges(n_bands, sample_rate, fmin):
     return mel_to_hz(mels)
 
 
-def mel_center_frequencies(n_bands, sample_rate, fmin=100.0):
-    return mel_band_edges(n_bands, sample_rate, fmin)[1:-1]
-
-
 @lru_cache(maxsize=8)
 def _triangle_weights(flen, sample_rate, n_bands, fmin):
     """Read-only n_bands x (flen // 2 + 1) triangular filterbank over one frame's rfft bins."""

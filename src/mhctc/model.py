@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 # perfbench/tracing.py rebinds ctc_loss and mh_ctc_loss here
-from .ctc import check_logp, ctc_lattice, ctc_loss, logits_gradient  # noqa: F401
+from .ctc import ctc_lattice, ctc_loss, logits_gradient  # noqa: F401
 from .errors import (
     ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, ShapeError, check_ints,
     check_reals,
@@ -136,11 +136,7 @@ def forward(params, x):
 
 
 def _backward_from(params, xc, h, logp, grad_logp):
-    grad_logp = np.asarray(grad_logp, dtype=np.float64)
-    if grad_logp.shape != logp.shape:
-        raise ShapeError(
-            f"grad_logp shape {grad_logp.shape} != output shape {logp.shape}"
-        )
+    """Parameter gradients; ``grad_logp`` is a float array of ``logp``'s shape (``backward`` checks)."""
     du = logits_gradient(logp, grad_logp)
     dh = du @ params.w2.T
     dz = dh * (1.0 - h * h)
@@ -160,6 +156,11 @@ def backward(params, x, grad_logp):
     affine input layer.
     """
     xc, h, logp = _forward_activations(params, _check_features(params, x))
+    grad_logp = np.asarray(grad_logp, dtype=np.float64)
+    if grad_logp.shape != logp.shape:
+        raise ShapeError(
+            f"grad_logp shape {grad_logp.shape} != output shape {logp.shape}"
+        )
     return _backward_from(params, xc, h, logp, grad_logp)
 
 
@@ -169,8 +170,10 @@ def sgd_train(params, dataset, cfg):
     ``dataset`` is a list of (features, target) pairs; targets may mix
     transcriptions and HypothesisSets.  Every utterance's features and
     target are checked once, before the first epoch; an infeasible
-    utterance is logged once and left out of every batch.  Returns (new
-    params, per-epoch mean-loss curve); fully deterministic given cfg.seed.
+    utterance is logged once and left out of every batch.  A batch whose
+    gradient is not finite, as after a non-finite loss, raises DivergedError.
+    Returns (new params, per-epoch mean-loss curve); fully deterministic
+    given cfg.seed.
     """
     params = params.copy()
     feats = []  # checked once here; the batch step reads them unchecked
@@ -195,31 +198,30 @@ def sgd_train(params, dataset, cfg):
             if not batch:
                 continue
             acts = [_forward_activations(params, feats[i]) for i in batch]
-            logps = [check_logp(logp) for _, _, logp in acts]
-            results = ctc_lattice(logps, [targets[i] for i in batch])
+            results = ctc_lattice([logp for *_, logp in acts], [targets[i] for i in batch])
             grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-            for (xc, h, _), logp, res in zip(acts, logps, results):
+            for (xc, h, logp), res in zip(acts, results):
                 losses.append(res.loss)
                 g = _backward_from(params, xc, h, logp, res.grad)
                 for k in grads:
                     grads[k] += g[k]
             norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            # the one divergence test: a NaN output or a non-finite loss makes the gradient NaN
+            if not np.isfinite(norm):
+                raise DivergedError(f"non-finite loss or gradient at epoch {epoch}")
             if norm > cfg.grad_clip:
                 scale = cfg.grad_clip / norm
                 for k in grads:
                     grads[k] *= scale
             for k, tensor in params.tensors().items():
                 tensor -= cfg.learning_rate * grads[k]
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        if losses and not np.isfinite(mean_loss):
-            raise DivergedError(f"non-finite loss at epoch {epoch}")
-        curve.append(mean_loss)
+        curve.append(float(np.mean(losses)) if losses else float("nan"))
     return params, curve
 
 
 def with_lineage(params, step):
-    """Return params with one lineage step appended (checkpoint provenance)."""
-    return replace(params.copy(), lineage=params.lineage + (step,))
+    """``params`` with one lineage step appended (checkpoint provenance); tensors are shared."""
+    return replace(params, lineage=params.lineage + (step,))
 
 
 def format_curve(curve):

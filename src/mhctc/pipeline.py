@@ -357,8 +357,11 @@ def run_experiment(plan, out_dir=None):
             try:
                 per_seed[str(seed)] = run_scenario_seed(plan, scenario, seed, run_dir)
             except Exception as exc:  # one failed condition must not kill the grid
-                log.exception("scenario %s seed %s failed", scenario, seed)
-                per_seed[str(seed)] = {"error": f"{type(exc).__name__}: {exc}"}
+                error = f"{type(exc).__name__}: {exc}"
+                # one line per failed cell; its traceback only under -v
+                log.error("scenario %s seed %s failed: %s", scenario, seed, error,
+                          exc_info=log.isEnabledFor(logging.DEBUG))
+                per_seed[str(seed)] = {"error": error}
         summary = {}
         for condition in plan.conditions:
             # one entry per seed: the plan rejects repeated seeds

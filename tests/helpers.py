@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 from scipy.signal import butter, filtfilt
 
-from mhctc.alphabet import BLANK, validate_transcription
+from mhctc.alphabet import BLANK, LabelAlphabet, validate_transcription
 from mhctc.ctc import NEG_INF, LossResult, check_logp, collapse_path, expand_labels, min_frames
 from mhctc.decode import DecodeConfig, DecodedHypothesis
 from mhctc.errors import ConfigError, InfeasibleAlignment, MhctcError
@@ -18,6 +18,12 @@ from mhctc.features import (
 )
 
 ORACLE_GUARD = 10**7
+DEFAULT_ALPHABET = LabelAlphabet(tuple("abcde"))
+
+
+def mel_center_frequencies(n_bands, sample_rate, fmin=100.0):
+    """The n_bands mel-spaced centers between fmin and Nyquist."""
+    return mel_band_edges(n_bands, sample_rate, fmin)[1:-1]
 
 
 class OracleTooLarge(MhctcError):

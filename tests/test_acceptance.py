@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 
-from mhctc.alphabet import DEFAULT_ALPHABET
 from mhctc.audio import (
     SynthConfig,
     Utterance,
@@ -19,15 +18,17 @@ from mhctc.audio import (
 )
 from mhctc.ctc import ctc_loss, logits_gradient
 from mhctc.decode import DecodeConfig, beam_decode
-from mhctc.features import FeatureConfig, fbank, mel_center_frequencies, ste
+from mhctc.features import FeatureConfig, fbank, ste
 from mhctc.mh import HypothesisSet, mh_ctc_loss
 from mhctc.model import ModelConfig, backward, forward, init_model
 from mhctc.pipeline import ExperimentPlan, run_experiment
 from mhctc.score import edit_distance
 
 from helpers import (
+    DEFAULT_ALPHABET,
     ctc_loss_bruteforce,
     exhaustive_best_labeling,
+    mel_center_frequencies,
     product_form_check,
     random_instance,
     random_logp,

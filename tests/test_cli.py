@@ -432,7 +432,7 @@ def test_bad_plan_value_fails_before_the_grid(tmp_path, capsys, field, value, me
     assert not list(tmp_path.glob("out/run-*"))
 
 
-def test_failed_grid_cell_is_a_stage_failure(tmp_path, capsys, monkeypatch):
+def test_failed_grid_cell_is_a_stage_failure(tmp_path, capsys, caplog, monkeypatch):
     build = pipeline._build_systems
 
     def build_or_fail(plan, scenario, *args):
@@ -448,9 +448,35 @@ def test_failed_grid_cell_is_a_stage_failure(tmp_path, capsys, monkeypatch):
     code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
     assert code == EXIT_STAGE
     text = next(tmp_path.glob("out/run-*/report.txt")).read_text()
-    assert text in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert text in captured.out
     assert text.endswith("failed: multi-condition-train seed 0: InvalidInput: no systems today\n")
     assert "failed: clean-train" not in text
+    # one ERROR line names the cell and its error; the traceback shows only under -v
+    failures = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert [r.getMessage() for r in failures] == [
+        "scenario multi-condition-train seed 0 failed: InvalidInput: no systems today"]
+    assert "Traceback" not in caplog.text + captured.err
+
+
+@pytest.mark.parametrize("command", ["train", "adapt"])
+def test_divergence_is_a_stage_failure(ws, tmp_path, capsys, caplog, command):
+    argv = {
+        "train": ["train", "--corpus", ws / "train/manifest.json", *FAST_TRAIN],
+        "adapt": ["adapt", "--ckpt", ws / "ste.ckpt", "--condition", "supervised-all",
+                  "--labeled", ws / "lab/manifest.json", "--unlabeled", ws / "unlab/manifest.json",
+                  "--epochs", 2],
+    }[command]
+    out = tmp_path / "m.ckpt"
+    # the overflow that ends in a non-finite gradient warns on the way
+    with pytest.warns(RuntimeWarning):
+        code = run(*argv, "--learning-rate", 1e300, "--out", out)
+    assert code == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"stage failure: DivergedError: non-finite loss or gradient at epoch \d+\n",
+                        err)
+    assert "Traceback" not in err + caplog.text
+    assert not out.exists()
 
 
 def test_malformed_manifest_record_is_a_config_error(ws, tmp_path, capsys):

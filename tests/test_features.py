@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import ste_reference
+from helpers import mel_center_frequencies, ste_reference
 
 from mhctc.alphabet import LabelAlphabet
 from mhctc.audio import (
@@ -21,7 +21,6 @@ from mhctc.features import (
     compute_deltas,
     extract,
     fbank,
-    mel_center_frequencies,
     ste,
 )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mhctc.ctc import ctc_loss
-from mhctc.errors import InvalidLabel, ShapeError
+from mhctc.errors import DivergedError, InvalidLabel, ShapeError
 from mhctc.features import FeatureConfig
 from mhctc.mh import HypothesisSet
 from mhctc.model import (
@@ -83,6 +83,11 @@ class TestBackward:
         x = np.random.default_rng(0).standard_normal((4, 3))
         g = backward(m, x, np.zeros((4, 3)))
         assert all(np.all(v == 0) for v in g.values())
+
+    def test_grad_shape_mismatch(self):
+        x = np.random.default_rng(0).standard_normal((4, 3))
+        with pytest.raises(ShapeError, match=r"grad_logp shape \(4, 2\) != output shape \(4, 3\)"):
+            backward(tiny_model(), x, np.zeros((4, 2)))
 
     def test_duplicated_utterance_doubles_contribution(self):
         # batch gradients are sums of per-utterance gradients, so listing an
@@ -174,6 +179,23 @@ class TestSgdTrain:
         assert len(skips) == 1
         assert skips[0].getMessage() == (
             "skipping infeasible utterance 0: transcription needs at least 4 frames, got 1")
+
+    def test_zero_frame_utterance_is_infeasible(self, caplog):
+        # the lattice needs at least one frame, even for an empty transcription
+        data = [(np.zeros((0, 3)), ())]
+        with caplog.at_level(logging.WARNING, logger="mhctc.model"):
+            _, curve = sgd_train(tiny_model(), data, TrainConfig(epochs=2))
+        assert len(curve) == 2 and all(np.isnan(curve))
+        assert caplog.messages == [
+            "skipping infeasible utterance 0: transcription needs at least 1 frames, got 0"]
+
+    def test_divergence_raises_naming_the_epoch(self):
+        rng = np.random.default_rng(8)
+        data = self.make_dataset(rng, n=8)
+        # the overflow that ends in a non-finite gradient warns on the way
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                DivergedError, match=r"non-finite loss or gradient at epoch \d+"):
+            sgd_train(tiny_model(hidden=16), data, TrainConfig(learning_rate=1e300, epochs=20))
 
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_bad_features_raise_even_when_infeasible(self, epochs):
