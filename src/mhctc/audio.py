@@ -18,13 +18,13 @@ from .errors import ConfigError, InvalidInput, check_ints, check_reals, read_tex
 
 NOISE_KINDS = ("none", "white", "babble", "bandlimited")
 RECORD_TYPES = dict(id=str, path=str, transcription=str, sample_rate=int, condition=str)
+SAMPLE_RATE = 8000
+SYMBOL_MS = (80, 140)  # range of one symbol's duration
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     alphabet: LabelAlphabet
-    sample_rate: int = 8000
-    symbol_ms: tuple = (80, 140)
     noise_kind: str = "none"
     snr_db: float = 10.0
     snr_spread_db: float = 0.0  # per-utterance SNR = snr_db +/- spread
@@ -39,7 +39,7 @@ class SynthConfig:
         check_reals(snr_db=self.snr_db)
         check_reals(0, snr_spread_db=self.snr_spread_db, freq_jitter=self.freq_jitter,
                     amp_jitter=self.amp_jitter)
-        symbol_band_centers(self.alphabet, self.sample_rate)  # raises if the alphabet does not fit
+        symbol_band_centers(self.alphabet)  # raises if the alphabet does not fit
 
 
 @dataclass
@@ -53,7 +53,7 @@ class Utterance:
     noise_power: float = 0.0
 
 
-def symbol_band_centers(alphabet, sample_rate=8000):
+def symbol_band_centers(alphabet):
     """(low, high) formant-like center pair per symbol, >=200 Hz apart."""
     n = alphabet.n_symbols
     if n == 0:
@@ -64,36 +64,36 @@ def symbol_band_centers(alphabet, sample_rate=8000):
     for i in range(n):
         f1 = lo0 + i * step
         f2 = hi0 + i * step
-        if f2 >= sample_rate / 2:
+        if f2 >= SAMPLE_RATE / 2:
             raise ConfigError("alphabet too large for the sample rate")
         centers.append((f1, f2))
     return centers
 
 
-def _render_symbol(f1, f2, n_samples, sample_rate):
-    t = np.arange(n_samples) / sample_rate
+def _render_symbol(f1, f2, n_samples):
+    t = np.arange(n_samples) / SAMPLE_RATE
     env = np.hanning(n_samples)
     return env * 0.45 * (np.sin(2 * np.pi * f1 * t) + np.sin(2 * np.pi * f2 * t))
 
 
 def render_signal(cfg, labels, rng):
     """Concatenated symbol tones for one transcription."""
-    centers = symbol_band_centers(cfg.alphabet, cfg.sample_rate)
-    lo, hi = cfg.symbol_ms
+    centers = symbol_band_centers(cfg.alphabet)
+    lo, hi = SYMBOL_MS
     pieces = []
     for lab in labels:
         ms = rng.uniform(lo, hi)
-        n = max(8, int(round(ms * cfg.sample_rate / 1000.0)))
+        n = max(8, int(round(ms * SAMPLE_RATE / 1000.0)))
         f1, f2 = centers[lab - 1]
         if cfg.freq_jitter > 0.0:
             f1 *= rng.uniform(1.0 - cfg.freq_jitter, 1.0 + cfg.freq_jitter)
             f2 *= rng.uniform(1.0 - cfg.freq_jitter, 1.0 + cfg.freq_jitter)
-        piece = _render_symbol(f1, f2, n, cfg.sample_rate)
+        piece = _render_symbol(f1, f2, n)
         if cfg.amp_jitter > 0.0:
             piece = piece * rng.uniform(1.0 - cfg.amp_jitter, 1.0)
         pieces.append(piece)
     if not pieces:
-        pieces = [np.zeros(int(0.1 * cfg.sample_rate))]
+        pieces = [np.zeros(int(0.1 * SAMPLE_RATE))]
     return np.concatenate(pieces)
 
 
@@ -142,7 +142,7 @@ def synth_utterance(cfg, uid, length, seed_seq):
         condition = "clean"
         ps, pn = float(np.mean(signal**2)), 0.0
     else:
-        noise = make_noise(cfg.noise_kind, signal.size, cfg.sample_rate, rng)
+        noise = make_noise(cfg.noise_kind, signal.size, SAMPLE_RATE, rng)
         snr = cfg.snr_db
         if cfg.snr_spread_db > 0.0:
             snr += rng.uniform(-cfg.snr_spread_db, cfg.snr_spread_db)
@@ -155,7 +155,7 @@ def synth_utterance(cfg, uid, length, seed_seq):
         id=uid,
         waveform=wavef,
         labels=labels,
-        sample_rate=cfg.sample_rate,
+        sample_rate=SAMPLE_RATE,
         condition=condition,
         signal_power=ps,
         noise_power=pn,

@@ -146,8 +146,15 @@ def _train_cfg_from(args):
     return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
-def _load_utts(path):
-    return load_corpus(path)[0] if path else []
+def _load_utts(path, symbols):
+    """Utterances of a manifest (none without ``path``) written in the checkpoint's ``symbols``."""
+    if not path:
+        return []
+    corpus, alphabet = load_corpus(path)
+    if alphabet.symbols != symbols:
+        raise ConfigError(f"{path}: alphabet {list(alphabet.symbols)} differs from the"
+                          f" checkpoint's {list(symbols)}")
+    return corpus
 
 
 def cmd_adapt(args):
@@ -164,8 +171,9 @@ def cmd_adapt(args):
             raise ConfigError(f"{args.condition} requires {flags}")
         # the feature cache is keyed by utterance id, and two separately
         # synthesized manifests reuse the same ids
-        labeled = [replace(u, id=f"labeled:{u.id}") for u in _load_utts(args.labeled)]
-        split = AdaptationSplit(labeled=labeled, unlabeled=_load_utts(args.unlabeled), test=[])
+        labeled = [replace(u, id=f"labeled:{u.id}") for u in _load_utts(args.labeled, symbols)]
+        split = AdaptationSplit(labeled=labeled, unlabeled=_load_utts(args.unlabeled, symbols),
+                                test=[])
         hyps_a = _load_hyps(args.hyps_a) if args.hyps_a else {}
         hyps_b = _load_hyps(args.hyps_b) if args.hyps_b else {}
         data = condition_dataset(args.condition, split, hyps_a, hyps_b, system, {})
@@ -177,8 +185,8 @@ def cmd_adapt(args):
 
 
 def cmd_decode(args):
-    params, _, fcfg = load_checkpoint(args.ckpt)
-    corpus, _ = load_corpus(args.corpus)
+    params, symbols, fcfg = load_checkpoint(args.ckpt)
+    corpus = _load_utts(args.corpus, symbols)
     dcfg = DecodeConfig(beam_width=args.beam_width, mode=args.mode)
     system = System(name="cli", feature_cfg=fcfg, params=params)
     hyps = decode_set(system, corpus, lambda logp: decode(logp, dcfg), {})

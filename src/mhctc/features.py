@@ -13,34 +13,28 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import butter, filtfilt
 
-from .errors import ConfigError, TooShort, check_ints, check_reals
+from .errors import ConfigError, TooShort, check_ints
 
 LOG_FLOOR_VALUE = 1e-10
+FRAME_MS = 25.0
+HOP_MS = 10.0
+FMIN_HZ = 100.0  # lowest mel band edge
+ENV_CUTOFF_HZ = 30.0  # STE envelope low-pass
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
     kind: str = "fbank"
     n_bands: int = 12
-    frame_ms: float = 25.0
-    hop_ms: float = 10.0
-    add_deltas: bool = True
-    fmin: float = 100.0
-    env_cutoff_hz: float = 30.0
 
     def __post_init__(self):
         if self.kind not in ("fbank", "ste"):
             raise ConfigError("feature kind must be 'fbank' or 'ste'")
         check_ints(1, n_bands=self.n_bands)
-        check_reals(0, strict=True, frame_ms=self.frame_ms, hop_ms=self.hop_ms,
-                    env_cutoff_hz=self.env_cutoff_hz)
-        check_reals(0, fmin=self.fmin)
-        if type(self.add_deltas) is not bool:
-            raise ConfigError(f"add_deltas must be a bool, got {self.add_deltas!r}")
 
     @property
     def dim(self):
-        return self.n_bands * 3 if self.add_deltas else self.n_bands
+        return 3 * self.n_bands
 
 
 def hz_to_mel(f):
@@ -51,18 +45,18 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_band_edges(n_bands, sample_rate, fmin):
-    """n_bands + 2 mel-spaced edge frequencies from fmin to Nyquist."""
+def mel_band_edges(n_bands, sample_rate):
+    """n_bands + 2 mel-spaced edge frequencies from FMIN_HZ to Nyquist."""
     fmax = sample_rate / 2.0
-    mels = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_bands + 2)
+    mels = np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(fmax), n_bands + 2)
     return mel_to_hz(mels)
 
 
 @lru_cache(maxsize=8)
-def _triangle_weights(flen, sample_rate, n_bands, fmin):
+def _triangle_weights(flen, sample_rate, n_bands):
     """Read-only n_bands x (flen // 2 + 1) triangular filterbank over one frame's rfft bins."""
     freqs = np.fft.rfftfreq(flen, 1.0 / sample_rate)
-    edges = mel_band_edges(n_bands, sample_rate, fmin)
+    edges = mel_band_edges(n_bands, sample_rate)
     weights = np.zeros((n_bands, freqs.size))
     for k in range(n_bands):
         lo, ctr, hi = edges[k], edges[k + 1], edges[k + 2]
@@ -74,22 +68,14 @@ def _triangle_weights(flen, sample_rate, n_bands, fmin):
     return weights
 
 
-def _check_below_nyquist(sample_rate, **freqs):
-    for name, hz in freqs.items():
-        if hz >= sample_rate / 2.0:
-            raise ConfigError(
-                f"{name} {hz:g} Hz is not below the {sample_rate / 2.0:g} Hz Nyquist frequency"
-            )
-
-
-def _framing(n_samples, sample_rate, cfg):
-    flen = int(round(cfg.frame_ms * sample_rate / 1000.0))
-    hop = int(round(cfg.hop_ms * sample_rate / 1000.0))
-    if min(flen, hop) < 1:
-        raise ConfigError(
-            f"frame_ms {cfg.frame_ms:g} and hop_ms {cfg.hop_ms:g} must each span"
-            f" at least one sample at {sample_rate} Hz"
-        )
+def _framing(n_samples, sample_rate):
+    # the one rate check: above 2 * FMIN_HZ, the hop also spans at least
+    # 2 samples and ENV_CUTOFF_HZ lies below Nyquist
+    if sample_rate <= 2 * FMIN_HZ:
+        raise ConfigError(f"sample rate {sample_rate} Hz is not above {2 * FMIN_HZ:g} Hz,"
+                          " twice the lowest band edge")
+    flen = int(round(FRAME_MS * sample_rate / 1000.0))
+    hop = int(round(HOP_MS * sample_rate / 1000.0))
     if n_samples < flen:
         raise TooShort(f"waveform of {n_samples} samples < one {flen}-sample frame")
     n_frames = (n_samples - flen) // hop + 1
@@ -121,14 +107,13 @@ def fbank(utt, cfg):
         raise ConfigError("fbank() requires cfg.kind == 'fbank'")
     x = np.asarray(utt.waveform, dtype=np.float64)
     sr = utt.sample_rate
-    _check_below_nyquist(sr, fmin=cfg.fmin)
-    flen, hop, n_frames = _framing(x.size, sr, cfg)
+    flen, hop, n_frames = _framing(x.size, sr)
     idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = x[idx] * np.hanning(flen)
     spec = np.abs(np.fft.rfft(frames, axis=1))
-    fb = _triangle_weights(flen, sr, cfg.n_bands, cfg.fmin)
+    fb = _triangle_weights(flen, sr, cfg.n_bands)
     static = np.log(np.maximum(spec @ fb.T, LOG_FLOOR_VALUE))
-    return _append_deltas(static) if cfg.add_deltas else static
+    return _append_deltas(static)
 
 
 def _gaussian_weights(freqs, edges):
@@ -147,9 +132,9 @@ def _gaussian_weights(freqs, edges):
 
 
 @lru_cache(maxsize=8)
-def _envelope_filter(cutoff_hz, sample_rate):
+def _envelope_filter(sample_rate):
     """(b, a) of the 4th-order Butterworth low-pass that smooths each band envelope."""
-    return butter(4, cutoff_hz / (sample_rate / 2.0))
+    return butter(4, ENV_CUTOFF_HZ / (sample_rate / 2.0))
 
 
 def ste(utt, cfg):
@@ -164,20 +149,19 @@ def ste(utt, cfg):
         raise ConfigError("ste() requires cfg.kind == 'ste'")
     x = np.asarray(utt.waveform, dtype=np.float64)
     sr = utt.sample_rate
-    _check_below_nyquist(sr, fmin=cfg.fmin, env_cutoff_hz=cfg.env_cutoff_hz)
-    flen, hop, n_frames = _framing(x.size, sr, cfg)
+    flen, hop, n_frames = _framing(x.size, sr)
     spec = np.fft.rfft(x)
     freqs = np.fft.rfftfreq(x.size, 1.0 / sr)
-    edges = mel_band_edges(cfg.n_bands, sr, cfg.fmin)
+    edges = mel_band_edges(cfg.n_bands, sr)
     # masks and the complex bands stay unnamed, so they are freed before
     # filtfilt makes its three n_bands x n_samples copies
     bands = np.abs(np.fft.irfft(spec * _gaussian_weights(freqs, edges), x.size, axis=1))
-    env = filtfilt(*_envelope_filter(cfg.env_cutoff_hz, sr), bands, axis=1)
+    env = filtfilt(*_envelope_filter(sr), bands, axis=1)
     static = np.zeros((n_frames, cfg.n_bands))
     idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
     for k in range(cfg.n_bands):
         static[:, k] = np.log(np.maximum(env[k][idx].mean(axis=1), LOG_FLOOR_VALUE))
-    return _append_deltas(static) if cfg.add_deltas else static
+    return _append_deltas(static)
 
 
 def extract(utt, cfg):

@@ -25,7 +25,7 @@ from .mh import mh_ctc_loss, target_labels  # noqa: F401
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"MHCTCKP1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 CHECKPOINT_KEYS = {"version", "config", "features", "alphabet", "lineage"}
 
 
@@ -197,15 +197,17 @@ def sgd_train(params, dataset, cfg):
             batch = [i for i in order[start : start + cfg.batch_size] if i in targets]
             if not batch:
                 continue
-            acts = [_forward_activations(params, feats[i]) for i in batch]
-            results = ctc_lattice([logp for *_, logp in acts], [targets[i] for i in batch])
-            grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-            for (xc, h, logp), res in zip(acts, results):
-                losses.append(res.loss)
-                g = _backward_from(params, xc, h, logp, res.grad)
-                for k in grads:
-                    grads[k] += g[k]
-            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            # every overflow or NaN here reaches the norm test, which reports it once
+            with np.errstate(over="ignore", invalid="ignore"):
+                acts = [_forward_activations(params, feats[i]) for i in batch]
+                results = ctc_lattice([logp for *_, logp in acts], [targets[i] for i in batch])
+                grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+                for (xc, h, logp), res in zip(acts, results):
+                    losses.append(res.loss)
+                    g = _backward_from(params, xc, h, logp, res.grad)
+                    for k in grads:
+                        grads[k] += g[k]
+                norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             # the one divergence test: a NaN output or a non-finite loss makes the gradient NaN
             if not np.isfinite(norm):
                 raise DivergedError(f"non-finite loss or gradient at epoch {epoch}")
@@ -231,7 +233,7 @@ def format_curve(curve):
     return f"{curve[0]:.3f} -> {curve[-1]:.3f}"
 
 
-def save_checkpoint(params, path, feature_cfg, alphabet_symbols=()):
+def save_checkpoint(params, path, feature_cfg, alphabet_symbols):
     """Deterministic binary container: magic, JSON header, raw tensor bytes.
 
     The header records the model config and the front end the model was
@@ -269,7 +271,7 @@ def _read_header(data, path):
     if header.get("version") != CHECKPOINT_VERSION:
         raise InvalidInput(
             f"{path}: checkpoint version {header.get('version')!r} is not supported"
-            f" (expected {CHECKPOINT_VERSION}, which records the front end)"
+            f" (expected {CHECKPOINT_VERSION})"
         )
     missing, unknown = CHECKPOINT_KEYS - set(header), set(header) - CHECKPOINT_KEYS
     if missing or unknown:
@@ -301,6 +303,11 @@ def load_checkpoint(path):
         raise InvalidInput(
             f"{path}: {feature_cfg.kind} features are {feature_cfg.dim}-dim,"
             f" the model expects {config.feat_dim}"
+        )
+    if len(header["alphabet"]) + 1 != config.n_outputs:
+        raise InvalidInput(
+            f"{path}: an alphabet of {len(header['alphabet'])} symbols needs"
+            f" {len(header['alphabet']) + 1} outputs, the model has {config.n_outputs}"
         )
     tensors = {}
     for name, shape in _tensor_shapes(config).items():

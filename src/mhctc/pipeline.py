@@ -293,8 +293,11 @@ def _build_systems(plan, scenario, seed, alphabet, cache):
     return systems[0], systems[1]
 
 
-def run_scenario_seed(plan, scenario, seed, run_dir=None):
-    """Full protocol for one scenario and seed; returns per-condition reports."""
+def run_scenario_seed(plan, scenario, seed, run_dir):
+    """Full protocol for one scenario and seed; returns per-condition reports.
+
+    Checkpoints and pseudo-labels go to ``run_dir/<scenario>/seed<seed>``.
+    """
     alphabet = LabelAlphabet(tuple(plan.alphabet))
     cache = {}
     sys_a, sys_b = _build_systems(plan, scenario, seed, alphabet, cache)
@@ -312,10 +315,8 @@ def run_scenario_seed(plan, scenario, seed, run_dir=None):
         wer, _ = score_corpus([(u.labels, hyps[u.id]) for u in split.unlabeled])
         diag[name] = round(wer.wer, 3)
 
-    cell_dir = None
-    if run_dir is not None:
-        cell_dir = Path(run_dir) / scenario / f"seed{seed}"
-        cell_dir.mkdir(parents=True, exist_ok=True)
+    cell_dir = Path(run_dir) / scenario / f"seed{seed}"
+    cell_dir.mkdir(parents=True, exist_ok=True)
     results = {}
     for condition in plan.conditions:
         adapted = run_adaptation_condition(
@@ -329,23 +330,19 @@ def run_scenario_seed(plan, scenario, seed, run_dir=None):
             "ref_words": wer.ref_words,
             "lineage": list(adapted.params.lineage),
         }
-        if cell_dir is not None:
-            save_checkpoint(adapted.params, cell_dir / f"{condition}.ckpt", adapted.feature_cfg,
-                            alphabet_symbols=alphabet.symbols)
-    if cell_dir is not None:
-        payload = {name: {k: [int(v) for v in vs] for k, vs in sorted(hyps.items())}
-                   for name, hyps in (("sysA", hyps_a), ("sysB", hyps_b))}
-        (cell_dir / "hypotheses.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+        save_checkpoint(adapted.params, cell_dir / f"{condition}.ckpt", adapted.feature_cfg,
+                        alphabet_symbols=alphabet.symbols)
+    payload = {name: {k: [int(v) for v in vs] for k, vs in sorted(hyps.items())}
+               for name, hyps in (("sysA", hyps_a), ("sysB", hyps_b))}
+    (cell_dir / "hypotheses.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
     return {"conditions": results, "pseudo_label_wer": diag}
 
 
-def run_experiment(plan, out_dir=None):
-    """Run the full grid; returns (report dict, run directory or None)."""
+def run_experiment(plan, out_dir):
+    """Run the full grid into ``out_dir/run-<config hash>``; returns (report dict, run directory)."""
     chash = plan.config_hash()
-    run_dir = None
-    if out_dir is not None:
-        run_dir = Path(out_dir) / f"run-{chash}"
-        run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = Path(out_dir) / f"run-{chash}"
+    run_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "config_hash": chash,
         "plan": asdict(plan),
@@ -383,11 +380,10 @@ def run_experiment(plan, out_dir=None):
                 100.0 * (base - mh) / base, 4
             )
         report["scenarios"][scenario] = entry
-    if run_dir is not None:
-        (run_dir / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True)
-        )
-        (run_dir / "report.txt").write_text(format_report(report))
+    (run_dir / "report.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True)
+    )
+    (run_dir / "report.txt").write_text(format_report(report))
     return report, run_dir
 
 

@@ -10,6 +10,7 @@ from mhctc.ctc import NEG_INF, LossResult, check_logp, collapse_path, expand_lab
 from mhctc.decode import DecodeConfig, DecodedHypothesis
 from mhctc.errors import ConfigError, InfeasibleAlignment, MhctcError
 from mhctc.features import (
+    ENV_CUTOFF_HZ,
     LOG_FLOOR_VALUE,
     _append_deltas,
     _framing,
@@ -21,9 +22,9 @@ ORACLE_GUARD = 10**7
 DEFAULT_ALPHABET = LabelAlphabet(tuple("abcde"))
 
 
-def mel_center_frequencies(n_bands, sample_rate, fmin=100.0):
-    """The n_bands mel-spaced centers between fmin and Nyquist."""
-    return mel_band_edges(n_bands, sample_rate, fmin)[1:-1]
+def mel_center_frequencies(n_bands, sample_rate):
+    """The n_bands mel-spaced centers between the lowest band edge and Nyquist."""
+    return mel_band_edges(n_bands, sample_rate)[1:-1]
 
 
 class OracleTooLarge(MhctcError):
@@ -193,18 +194,18 @@ def ste_reference(utt, cfg):
         raise ConfigError("ste() requires cfg.kind == 'ste'")
     x = np.asarray(utt.waveform, dtype=np.float64)
     sr = utt.sample_rate
-    flen, hop, n_frames = _framing(x.size, sr, cfg)
+    flen, hop, n_frames = _framing(x.size, sr)
     spec = np.fft.rfft(x)
     freqs = np.fft.rfftfreq(x.size, 1.0 / sr)
-    masks = _gaussian_weights(freqs, mel_band_edges(cfg.n_bands, sr, cfg.fmin))
-    b, a = butter(4, cfg.env_cutoff_hz / (sr / 2.0))
+    masks = _gaussian_weights(freqs, mel_band_edges(cfg.n_bands, sr))
+    b, a = butter(4, ENV_CUTOFF_HZ / (sr / 2.0))
     static = np.zeros((n_frames, cfg.n_bands))
     idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
     for k in range(cfg.n_bands):
         band = np.fft.irfft(spec * masks[k], x.size)
         env = filtfilt(b, a, np.abs(band))
         static[:, k] = np.log(np.maximum(env[idx].mean(axis=1), LOG_FLOOR_VALUE))
-    return _append_deltas(static) if cfg.add_deltas else static
+    return _append_deltas(static)
 
 
 def stack_context_reference(x, context):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from mhctc.audio import (
+    SAMPLE_RATE,
     SynthConfig,
     Utterance,
     render_signal,
@@ -192,7 +193,7 @@ def test_criterion_5_edit_distance_oracle_and_axioms():
     print("criterion 5: 500 oracle pairs + 200 axiom triples")
 
 
-def test_criterion_6_condition_ordering():
+def test_criterion_6_condition_ordering(tmp_path):
     """Default-plan grid reproduces the qualitative condition ordering.
 
     Over 5 seeds and both scenarios: supervised-all has the lowest mean
@@ -201,7 +202,7 @@ def test_criterion_6_condition_ordering():
     """
     plan = ExperimentPlan()
     start = time.monotonic()
-    report, _ = run_experiment(plan)
+    report, _ = run_experiment(plan, tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 900.0, f"grid took {elapsed:.0f}s"
 
@@ -254,18 +255,18 @@ def test_criterion_8_feature_sanity():
     pairs = symbol_band_centers(DEFAULT_ALPHABET)
     rng = np.random.default_rng(108)
     for kind, fn, nb in (("fbank", fbank, 16), ("ste", ste, 12)):
-        fcfg = FeatureConfig(kind=kind, n_bands=nb, add_deltas=False)
-        centers = mel_center_frequencies(nb, 8000, fcfg.fmin)
+        fcfg = FeatureConfig(kind=kind, n_bands=nb)
+        centers = mel_center_frequencies(nb, SAMPLE_RATE)
         for sym in range(1, len(DEFAULT_ALPHABET.symbols) + 1):
             labels = (sym,) * 3
             u = Utterance(
                 id=f"{kind}-{sym}",
                 waveform=render_signal(cfg, labels, rng),
                 labels=labels,
-                sample_rate=cfg.sample_rate,
+                sample_rate=SAMPLE_RATE,
                 condition="clean",
             )
-            band = int(np.argmax(fn(u, fcfg).mean(axis=0)))
+            band = int(np.argmax(fn(u, fcfg)[:, :nb].mean(axis=0)))
             f1, f2 = pairs[sym - 1]
             nearest = {int(np.argmin(np.abs(centers - f))) for f in (f1, f2)}
             assert band in nearest, (kind, sym, band, nearest)

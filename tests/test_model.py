@@ -192,9 +192,8 @@ class TestSgdTrain:
     def test_divergence_raises_naming_the_epoch(self):
         rng = np.random.default_rng(8)
         data = self.make_dataset(rng, n=8)
-        # the overflow that ends in a non-finite gradient warns on the way
-        with pytest.warns(RuntimeWarning), pytest.raises(
-                DivergedError, match=r"non-finite loss or gradient at epoch \d+"):
+        # no RuntimeWarning on the way: pytest.ini makes one an error
+        with pytest.raises(DivergedError, match=r"non-finite loss or gradient at epoch \d+"):
             sgd_train(tiny_model(hidden=16), data, TrainConfig(learning_rate=1e300, epochs=20))
 
     @pytest.mark.parametrize("epochs", [0, 1])
@@ -255,6 +254,6 @@ class TestCheckpoint:
     def test_byte_identical_rewrites(self, tmp_path):
         m = tiny_model(seed=6)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(m, p1, FeatureConfig(n_bands=1))
-        save_checkpoint(m, p2, FeatureConfig(n_bands=1))
+        save_checkpoint(m, p1, FeatureConfig(n_bands=1), alphabet_symbols=("a", "b"))
+        save_checkpoint(m, p2, FeatureConfig(n_bands=1), alphabet_symbols=("a", "b"))
         assert p1.read_bytes() == p2.read_bytes()

@@ -306,9 +306,9 @@ class TestScenarioAndReport:
         assert set(payload) == {"sysA", "sysB"}
         assert len(payload["sysA"]) == TINY.split_sizes[1]
 
-    def test_rerun_is_deterministic(self):
-        a = run_scenario_seed(TINY, "multi-condition-train", 1)
-        b = run_scenario_seed(TINY, "multi-condition-train", 1)
+    def test_rerun_is_deterministic(self, tmp_path):
+        a = run_scenario_seed(TINY, "multi-condition-train", 1, tmp_path / "a")
+        b = run_scenario_seed(TINY, "multi-condition-train", 1, tmp_path / "b")
         assert a == b
 
     def test_report_structure_and_relative_reduction(self, tmp_path):
