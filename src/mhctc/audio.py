@@ -97,8 +97,8 @@ def render_signal(cfg, labels, rng):
     return np.concatenate(pieces)
 
 
-def make_noise(kind, n_samples, sample_rate, rng):
-    """Unit-scale noise of the requested kind."""
+def make_noise(kind, n_samples, rng):
+    """Unit-scale noise of the requested kind at SAMPLE_RATE."""
     white = rng.standard_normal(n_samples)
     if kind == "white":
         return white
@@ -106,17 +106,17 @@ def make_noise(kind, n_samples, sample_rate, rng):
         # wideband, low-frequency weighted and slowly amplitude-modulated,
         # crudely speech-shaped
         spec = np.fft.rfft(white)
-        freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
+        freqs = np.fft.rfftfreq(n_samples, 1.0 / SAMPLE_RATE)
         spec *= 1.0 / np.sqrt(1.0 + (freqs / 800.0) ** 2)
         shaped = np.fft.irfft(spec, n_samples)
-        t = np.arange(n_samples) / sample_rate
+        t = np.arange(n_samples) / SAMPLE_RATE
         rate = rng.uniform(2.0, 6.0)
         phase = rng.uniform(0.0, 2 * np.pi)
         envelope = 0.3 + 0.7 * 0.5 * (1.0 + np.sin(2 * np.pi * rate * t + phase))
         return shaped * envelope
     if kind == "bandlimited":
         spec = np.fft.rfft(white)
-        freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
+        freqs = np.fft.rfftfreq(n_samples, 1.0 / SAMPLE_RATE)
         spec[(freqs < 700.0) | (freqs > 2600.0)] = 0.0
         return np.fft.irfft(spec, n_samples)
     raise ConfigError(f"unknown noise kind {kind!r}")
@@ -142,7 +142,7 @@ def synth_utterance(cfg, uid, length, seed_seq):
         condition = "clean"
         ps, pn = float(np.mean(signal**2)), 0.0
     else:
-        noise = make_noise(cfg.noise_kind, signal.size, SAMPLE_RATE, rng)
+        noise = make_noise(cfg.noise_kind, signal.size, rng)
         snr = cfg.snr_db
         if cfg.snr_spread_db > 0.0:
             snr += rng.uniform(-cfg.snr_spread_db, cfg.snr_spread_db)

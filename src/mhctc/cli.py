@@ -48,14 +48,14 @@ EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
 
-def _train_args(p, defaults):
-    """One flag per TrainConfig field, with the values of ``defaults``."""
-    for name, value in asdict(defaults).items():
+def _config_args(p, defaults):
+    """One flag per config field, given as a dict of field name to default."""
+    for name, value in defaults.items():
         p.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
 
 
 def build_parser():
-    plan = ExperimentPlan()  # train, adapt and decode default to the grid's values
+    plan = ExperimentPlan()  # synth, train, adapt and decode default to the grid's values
     parser = argparse.ArgumentParser(prog="mhctc")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,15 +63,12 @@ def build_parser():
     p = sub.add_parser("synth", help="build a synthetic corpus")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-utts", type=int, default=100)
-    p.add_argument("--alphabet", default="abcde")
-    p.add_argument("--noise-kind", choices=NOISE_KINDS, default="none")
-    p.add_argument("--snr-db", type=float, default=10.0)
-    p.add_argument("--snr-spread-db", type=float, default=0.0)
-    p.add_argument("--freq-jitter", type=float, default=0.0)
-    p.add_argument("--amp-jitter", type=float, default=0.0)
-    p.add_argument("--len-min", type=int, default=4)
-    p.add_argument("--len-max", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alphabet", default=plan.alphabet)
+    p.add_argument("--len-min", type=int, default=plan.len_range[0])
+    p.add_argument("--len-max", type=int, default=plan.len_range[1])
+    synth = {f.name: f.default for f in fields(SynthConfig) if f.name != "alphabet"}
+    p.add_argument("--noise-kind", choices=NOISE_KINDS, default=synth.pop("noise_kind"))
+    _config_args(p, synth)
 
     p = sub.add_parser("train", help="train an acoustic model")
     p.add_argument("--corpus", required=True, help="manifest.json of a corpus")
@@ -80,7 +77,7 @@ def build_parser():
     p.add_argument("--n-bands", type=int, default=plan.n_bands_fbank)
     p.add_argument("--context", type=int, default=plan.context)
     p.add_argument("--hidden", type=int, default=plan.hidden)
-    _train_args(p, plan.train_cfg("train", seed=0))
+    _config_args(p, asdict(plan.train_cfg("train", seed=0)))
 
     p = sub.add_parser("adapt", help="adapt a model under one condition")
     p.add_argument("--ckpt", required=True, help="initial model checkpoint")
@@ -90,7 +87,7 @@ def build_parser():
     p.add_argument("--unlabeled", help="manifest.json of the unlabeled subset")
     p.add_argument("--hyps-a", help="system-A hypothesis JSON for the unlabeled subset")
     p.add_argument("--hyps-b", help="system-B hypothesis JSON for the unlabeled subset")
-    _train_args(p, plan.train_cfg("adapt", seed=0))
+    _config_args(p, asdict(plan.train_cfg("adapt", seed=0)))
 
     p = sub.add_parser("decode", help="decode a corpus")
     p.add_argument("--ckpt", required=True)
@@ -121,9 +118,7 @@ def _load_hyps(path):
 
 def cmd_synth(args):
     alphabet = LabelAlphabet(tuple(args.alphabet))
-    cfg = SynthConfig(alphabet=alphabet, noise_kind=args.noise_kind, snr_db=args.snr_db,
-                      snr_spread_db=args.snr_spread_db, freq_jitter=args.freq_jitter,
-                      amp_jitter=args.amp_jitter, seed=args.seed)
+    cfg = _config_from(args, SynthConfig, alphabet=alphabet)
     corpus = synth_corpus(cfg, args.n_utts, (args.len_min, args.len_max))
     save_corpus(corpus, alphabet, args.out)
     print(f"wrote {len(corpus)} utterances to {args.out}")
@@ -132,7 +127,7 @@ def cmd_synth(args):
 
 def cmd_train(args):
     corpus, alphabet = load_corpus(args.corpus)
-    train_cfg = _train_cfg_from(args)
+    train_cfg = _config_from(args, TrainConfig)
     fcfg = FeatureConfig(kind=args.features, n_bands=args.n_bands)
     system = init_system("cli", fcfg, alphabet.n_outputs, args.context, args.hidden, args.seed)
     step = f"cli-train:{args.features}:seed={args.seed}"
@@ -142,8 +137,10 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _train_cfg_from(args):
-    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+def _config_from(args, cls, **given):
+    """A ``cls`` built from ``given`` and, for its other fields, the flags of the same name."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given}
+    return cls(**flags, **given)
 
 
 def _load_utts(path, symbols):
@@ -178,7 +175,7 @@ def cmd_adapt(args):
         hyps_b = _load_hyps(args.hyps_b) if args.hyps_b else {}
         data = condition_dataset(args.condition, split, hyps_a, hyps_b, system, {})
         step = f"cli-adapt:{args.condition}:seed={args.seed}"
-        system = train_system(system, data, _train_cfg_from(args), step)
+        system = train_system(system, data, _config_from(args, TrainConfig), step)
     save_checkpoint(system.params, args.out, fcfg, alphabet_symbols=symbols)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
@@ -217,11 +214,8 @@ def cmd_experiment(args):
         if not isinstance(overrides, dict):
             raise ConfigError("experiment config must be a JSON object")
     try:
-        for key in ("scenarios", "conditions", "seeds", "split_sizes", "len_range"):
-            if key in overrides:
-                overrides[key] = tuple(overrides[key])
         plan = ExperimentPlan(**overrides)
-    except TypeError as exc:
+    except TypeError as exc:  # a key that is not a plan field
         raise ConfigError(f"bad experiment config: {exc}") from exc
     report, run_dir = run_experiment(plan, out_dir=args.out)
     print(format_report(report))

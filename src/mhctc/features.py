@@ -150,13 +150,17 @@ def ste(utt, cfg):
     x = np.asarray(utt.waveform, dtype=np.float64)
     sr = utt.sample_rate
     flen, hop, n_frames = _framing(x.size, sr)
+    b, a = _envelope_filter(sr)
+    padlen = 3 * max(len(a), len(b))  # filtfilt's edge padding: one frame's length at ~620 Hz
+    if x.size <= padlen:
+        raise TooShort(f"waveform of {x.size} samples <= the {padlen}-sample filter padding")
     spec = np.fft.rfft(x)
     freqs = np.fft.rfftfreq(x.size, 1.0 / sr)
     edges = mel_band_edges(cfg.n_bands, sr)
     # masks and the complex bands stay unnamed, so they are freed before
     # filtfilt makes its three n_bands x n_samples copies
     bands = np.abs(np.fft.irfft(spec * _gaussian_weights(freqs, edges), x.size, axis=1))
-    env = filtfilt(*_envelope_filter(sr), bands, axis=1)
+    env = filtfilt(b, a, bands, axis=1)
     static = np.zeros((n_frames, cfg.n_bands))
     idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
     for k in range(cfg.n_bands):

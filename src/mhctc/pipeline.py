@@ -92,6 +92,11 @@ class ExperimentPlan:
     beam_width: int = 20
 
     def __post_init__(self):
+        for name in ("scenarios", "conditions", "seeds", "split_sizes", "len_range"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))  # a JSON plan gives lists
         for name, known in (("scenario", SCENARIOS), ("condition", CONDITIONS)):
             for value in getattr(self, name + "s"):
                 if value not in known:
@@ -107,6 +112,9 @@ class ExperimentPlan:
         lengths_ok = len(self.split_sizes) == 3 and len(self.len_range) == 2
         if not lengths_ok or self.len_range[0] > self.len_range[1]:
             raise ConfigError("split_sizes must hold 3 sizes and len_range a (min, max) pair")
+        if self.split_sizes[2] < 1:
+            raise ConfigError(f"split_sizes must end in a test size of at least 1,"
+                              f" got {self.split_sizes!r}")
         for stage in ("train", "finetune", "adapt"):
             self.train_cfg(stage, seed=0)
         alphabet = LabelAlphabet(tuple(self.alphabet))

@@ -37,40 +37,31 @@ class WerReport:
 
 
 def edit_distance(ref, hyp):
-    """Minimal substitution/insertion/deletion alignment of two token lists."""
-    ref = list(ref)
-    hyp = list(hyp)
-    n, m = len(ref), len(hyp)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][0] = i
-    for j in range(m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            sub = dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1])
-            dele = dist[i - 1][j] + 1
-            ins = dist[i][j - 1] + 1
-            dist[i][j] = min(sub, dele, ins)
-    # backtrace, preferring match/substitution over deletion over insertion
-    s = d = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            s += ref[i - 1] != hyp[j - 1]
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            d += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return WerReport(
-        substitutions=s,
-        insertions=ins,
-        deletions=d,
-        ref_words=n,
-    )
+    """Minimal substitution/insertion/deletion alignment of two token lists.
+
+    Among the minimal alignments, the S/I/D split is the one a backtrace
+    from the last cell takes when it prefers match/substitution over
+    deletion over insertion.  One forward pass keeps two rows of
+    (cost, S, D, I) cells, each cell holding the counts of the alignment
+    that backtrace would take from it.
+    """
+    ref, hyp = list(ref), list(hyp)
+    prev = [(j, 0, 0, j) for j in range(len(hyp) + 1)]
+    for i, r in enumerate(ref, 1):
+        row = [(i, 0, i, 0)]
+        for j, h in enumerate(hyp, 1):
+            diag, up, left = prev[j - 1], prev[j], row[j - 1]
+            c = r != h
+            sub, dele, ins = diag[0] + c, up[0] + 1, left[0] + 1
+            if sub <= dele and sub <= ins:
+                row.append((sub, diag[1] + c, diag[2], diag[3]))
+            elif dele <= ins:
+                row.append((dele, up[1], up[2] + 1, up[3]))
+            else:
+                row.append((ins, left[1], left[2], left[3] + 1))
+        prev = row
+    _, s, d, ins = prev[-1]
+    return WerReport(substitutions=s, insertions=ins, deletions=d, ref_words=len(ref))
 
 
 def to_words(labels, word_len=WORD_LEN):

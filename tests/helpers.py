@@ -17,6 +17,7 @@ from mhctc.features import (
     _gaussian_weights,
     mel_band_edges,
 )
+from mhctc.score import WerReport
 
 ORACLE_GUARD = 10**7
 DEFAULT_ALPHABET = LabelAlphabet(tuple("abcde"))
@@ -244,3 +245,44 @@ def recursive_edit_distance(ref, hyp):
         return out
 
     return go(len(ref), len(hyp))
+
+
+def edit_distance_reference(ref, hyp):
+    """Full Levenshtein table, then a backtrace that splits the errors into S/I/D.
+
+    Reference for the one-pass ``mhctc.score.edit_distance``, which must
+    return equal counts.
+    """
+    ref = list(ref)
+    hyp = list(hyp)
+    n, m = len(ref), len(hyp)
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        dist[i][0] = i
+    for j in range(m + 1):
+        dist[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            sub = dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1])
+            dele = dist[i - 1][j] + 1
+            ins = dist[i][j - 1] + 1
+            dist[i][j] = min(sub, dele, ins)
+    # backtrace, preferring match/substitution over deletion over insertion
+    s = d = ins = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+            s += ref[i - 1] != hyp[j - 1]
+            i, j = i - 1, j - 1
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            d += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return WerReport(
+        substitutions=s,
+        insertions=ins,
+        deletions=d,
+        ref_words=n,
+    )

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from mhctc import pipeline
-from mhctc.audio import load_corpus, save_corpus
-from mhctc.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, build_parser, main
+from mhctc.alphabet import LabelAlphabet
+from mhctc.audio import SynthConfig, load_corpus, save_corpus
+from mhctc.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, _config_from, build_parser, main
 from mhctc.decode import DecodeConfig, beam_decode
 from mhctc.errors import InvalidInput
 from mhctc.features import FeatureConfig, cmn, fbank, ste
@@ -79,6 +80,18 @@ def test_flag_defaults_are_the_grids():
     plan = ExperimentPlan()
     assert (adapt.learning_rate, adapt.epochs) == (plan.adapt_learning_rate, plan.adapt_epochs)
     assert decode.beam_width == plan.beam_width == 20
+
+
+def test_synth_flag_defaults_are_synth_configs_and_the_plans(tmp_path):
+    args = build_parser().parse_args(["synth", "--out", "x"])
+    plan = ExperimentPlan()
+    alphabet = LabelAlphabet(tuple(plan.alphabet))
+    assert args.alphabet == "abcde" and (args.len_min, args.len_max) == plan.len_range == (4, 10)
+    assert _config_from(args, SynthConfig, alphabet=alphabet) == SynthConfig(alphabet=alphabet)
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(tmp_path / "x"), "--noise-kind", "pink"])
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
 
 
 def test_ste_checkpoint_decodes_with_ste_features(ws):
@@ -443,6 +456,9 @@ def test_bad_plan_fails_before_the_grid(tmp_path, capsys):
     ("alphabet", "", "alphabet must hold at least one symbol"),
     ("seeds", [], "seeds must be non-empty without repeats, got ()"),
     ("seeds", [0, 0], "seeds must be non-empty without repeats, got (0, 0)"),
+    ("seeds", 3, "seeds must be a list, got 3"),
+    ("scenarios", "clean-train", "scenarios must be a list, got 'clean-train'"),
+    ("split_sizes", [1, 1, 0], "split_sizes must end in a test size of at least 1"),
 ])
 def test_bad_plan_value_fails_before_the_grid(tmp_path, capsys, field, value, message):
     plan = {"seeds": [0], "n_train": 4, "split_sizes": [1, 1, 1], field: value}
@@ -529,3 +545,16 @@ def test_too_short_waveform_is_a_stage_failure(ws, tmp_path, capsys):
     assert run("decode", "--ckpt", ws / "ste.ckpt", "--corpus", tmp_path / "short/manifest.json",
                "--out", tmp_path / "h.json") == EXIT_STAGE
     assert "stage failure: TooShort" in capsys.readouterr().err
+
+
+def test_waveform_within_the_envelope_filter_padding_is_a_stage_failure(ws, tmp_path, capsys):
+    # at 201 Hz a frame is 5 samples, so 10 samples frame, but STE's
+    # low-pass needs more than its 15-sample edge padding
+    corpus, alphabet = load_corpus(ws / "unlab/manifest.json")
+    corpus[0].waveform, corpus[0].sample_rate = corpus[0].waveform[:10], 201
+    save_corpus(corpus[:1], alphabet, tmp_path / "short")
+    assert run("decode", "--ckpt", ws / "ste.ckpt", "--corpus", tmp_path / "short/manifest.json",
+               "--out", tmp_path / "h.json") == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith("stage failure: TooShort") and "10 samples" in err
+    assert not (tmp_path / "h.json").exists()

@@ -77,7 +77,7 @@ class TestSynth:
     def test_mix_at_snr_exact(self):
         rng = np.random.default_rng(0)
         sig = rng.standard_normal(1000)
-        noise = make_noise("babble", 1000, 8000, rng)
+        noise = make_noise("babble", 1000, rng)
         _, ps, pn = mix_at_snr(sig, noise, 7.0)
         assert 10 * np.log10(ps / pn) == pytest.approx(7.0, abs=1e-9)
 

@@ -117,11 +117,20 @@ class TestPlan:
         ("scenarios", ("clean-train", "clean-train")),
         ("conditions", ()),
         ("conditions", ("mh-ctc", "no-adapt", "mh-ctc")),
+        ("split_sizes", (1, 1, 0)),
+        ("seeds", 3),
+        ("split_sizes", 5),
+        ("scenarios", "clean-train"),
     ])
     def test_bad_value_rejected_at_construction(self, field, value):
         # every config the plan derives is built up front, not inside a grid cell
         with pytest.raises(ConfigError):
             ExperimentPlan(**{field: value})
+
+    def test_list_fields_become_tuples(self):
+        plan = ExperimentPlan(seeds=[0, 1], split_sizes=[30, 61, 140], len_range=[4, 10])
+        assert plan == ExperimentPlan(seeds=(0, 1))
+        assert plan.config_hash() == ExperimentPlan(seeds=(0, 1)).config_hash()
 
     def test_config_hash_stable_and_sensitive(self):
         a = ExperimentPlan()

@@ -3,7 +3,7 @@ import pytest
 
 from mhctc.score import WerReport, edit_distance, score_corpus, score_pair, to_words
 
-from helpers import recursive_edit_distance
+from helpers import edit_distance_reference, recursive_edit_distance
 
 
 class TestEditDistance:
@@ -23,6 +23,18 @@ class TestEditDistance:
             ref = [int(x) for x in rng.integers(0, 3, rng.integers(0, 7))]
             hyp = [int(x) for x in rng.integers(0, 3, rng.integers(0, 7))]
             assert edit_distance(ref, hyp).errors == recursive_edit_distance(ref, hyp)
+
+    def test_equals_backtrace_reference(self):
+        # the one-pass counts match the table-and-backtrace S/I/D split,
+        # including empty sides and 3-symbol word tuples
+        rng = np.random.default_rng(7)
+        for k in range(12_000):
+            n_syms = int(rng.integers(1, 5))
+            ref, hyp = (tuple(int(v) for v in rng.integers(0, n_syms, rng.integers(0, 10)))
+                        for _ in range(2))
+            if k % 2:
+                ref, hyp = to_words(ref), to_words(hyp)
+            assert edit_distance(ref, hyp) == edit_distance_reference(ref, hyp)  # all 4 fields
 
     def test_empty_ref_sentinel(self):
         rep = edit_distance([], ["x"])
