@@ -162,7 +162,7 @@ def synth_utterance(cfg, uid, length, seed_seq):
     )
 
 
-def synth_corpus(cfg, n_utts, len_range=(4, 10), id_prefix="utt"):
+def synth_corpus(cfg, n_utts, len_range, id_prefix="utt"):
     """Deterministic corpus: per-utterance seeds spawned from cfg.seed."""
     lmin, lmax = len_range
     check_ints(0, n_utts=n_utts)

@@ -11,12 +11,17 @@ Protocol per scenario and seed:
   5. decode and score the held-out test set.
 
 Everything is keyed by seeds and a config hash; reruns with the same plan
-produce byte-identical reports and checkpoints.
+produce byte-identical reports and checkpoints. The (scenario, seed) cells
+are independent, so they run in forked workers, one per usable CPU.
 """
 
+import ctypes
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
@@ -114,6 +119,9 @@ class ExperimentPlan:
             raise ConfigError("split_sizes must hold 3 sizes and len_range a (min, max) pair")
         if self.split_sizes[2] < 1:
             raise ConfigError(f"split_sizes must end in a test size of at least 1,"
+                              f" got {self.split_sizes!r}")
+        if self.split_sizes[1] < 1:  # else every pseudo-label condition is supervised-labeled
+            raise ConfigError(f"split_sizes needs an unlabeled size of at least 1,"
                               f" got {self.split_sizes!r}")
         for stage in ("train", "finetune", "adapt"):
             self.train_cfg(stage, seed=0)
@@ -346,6 +354,51 @@ def run_scenario_seed(plan, scenario, seed, run_dir):
     return {"conditions": results, "pseudo_label_wer": diag}
 
 
+def run_cell(plan, scenario, seed, run_dir):
+    """``run_scenario_seed``'s result, or {"error": ...} when the cell raised."""
+    try:
+        return run_scenario_seed(plan, scenario, seed, run_dir)
+    except Exception as exc:  # one failed cell must not kill the grid
+        # its traceback only under -v, from the process that ran the cell
+        log.debug("scenario %s seed %s raised", scenario, seed, exc_info=True)
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS, whose thread count can be set, or None."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        lib = ctypes.CDLL(str(path))  # numpy has loaded it: this is its handle
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
+def _run_cells(plan, cells, run_dir):
+    """``run_cell`` of each (scenario, seed), in order, on the usable CPUs.
+
+    The workers are forked, so they import nothing again and stay this
+    process's children (OpenBLAS stops its threads across a fork), and each
+    uses one BLAS thread, so that they do not oversubscribe the CPUs. Where
+    BLAS cannot be pinned, or one CPU is usable (``taskset -c 0``), the
+    cells run here, one after another.
+    """
+    blas = _openblas()  # None off Linux, where os.sched_getaffinity is missing too
+    workers = min(len(cells), len(os.sched_getaffinity(0))) if blas else 1
+    if workers < 2:
+        return [run_cell(plan, scenario, seed, run_dir) for scenario, seed in cells]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=blas.scipy_openblas_set_num_threads64_,
+                             initargs=(1,)) as pool:
+        futures = [pool.submit(run_cell, plan, scenario, seed, run_dir)
+                   for scenario, seed in cells]
+    # run_cell catches what a cell raises, so a future fails only when its
+    # worker died (BrokenProcessPool), which takes every unfinished cell down
+    return [{"error": f"{type(exc).__name__}: {exc}"} if (exc := future.exception())
+            else future.result() for future in futures]
+
+
 def run_experiment(plan, out_dir):
     """Run the full grid into ``out_dir/run-<config hash>``; returns (report dict, run directory)."""
     chash = plan.config_hash()
@@ -356,17 +409,10 @@ def run_experiment(plan, out_dir):
         "plan": asdict(plan),
         "scenarios": {},
     }
+    cells = [(scenario, seed) for scenario in plan.scenarios for seed in plan.seeds]
+    results = dict(zip(cells, _run_cells(plan, cells, run_dir)))
     for scenario in plan.scenarios:
-        per_seed = {}
-        for seed in plan.seeds:
-            try:
-                per_seed[str(seed)] = run_scenario_seed(plan, scenario, seed, run_dir)
-            except Exception as exc:  # one failed condition must not kill the grid
-                error = f"{type(exc).__name__}: {exc}"
-                # one line per failed cell; its traceback only under -v
-                log.error("scenario %s seed %s failed: %s", scenario, seed, error,
-                          exc_info=log.isEnabledFor(logging.DEBUG))
-                per_seed[str(seed)] = {"error": error}
+        per_seed = {str(seed): results[scenario, seed] for seed in plan.seeds}
         summary = {}
         for condition in plan.conditions:
             # one entry per seed: the plan rejects repeated seeds
@@ -388,6 +434,8 @@ def run_experiment(plan, out_dir):
                 100.0 * (base - mh) / base, 4
             )
         report["scenarios"][scenario] = entry
+    for scenario, seed, error in failed_cells(report):  # one line per failed cell, in plan order
+        log.error("scenario %s seed %s failed: %s", scenario, seed, error)
     (run_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True)
     )

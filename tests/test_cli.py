@@ -1,6 +1,7 @@
 """End-to-end tests of the ``mhctc`` command line on a tiny synthesized corpus."""
 
 import json
+import os
 import re
 import shutil
 import wave
@@ -459,6 +460,7 @@ def test_bad_plan_fails_before_the_grid(tmp_path, capsys):
     ("seeds", 3, "seeds must be a list, got 3"),
     ("scenarios", "clean-train", "scenarios must be a list, got 'clean-train'"),
     ("split_sizes", [1, 1, 0], "split_sizes must end in a test size of at least 1"),
+    ("split_sizes", [1, 0, 1], "split_sizes needs an unlabeled size of at least 1"),
 ])
 def test_bad_plan_value_fails_before_the_grid(tmp_path, capsys, field, value, message):
     plan = {"seeds": [0], "n_train": 4, "split_sizes": [1, 1, 1], field: value}
@@ -494,6 +496,38 @@ def test_failed_grid_cell_is_a_stage_failure(tmp_path, capsys, caplog, monkeypat
     assert [r.getMessage() for r in failures] == [
         "scenario multi-condition-train seed 0 failed: InvalidInput: no systems today"]
     assert "Traceback" not in caplog.text + captured.err
+
+
+def test_dead_grid_worker_is_a_stage_failure(tmp_path, capsys, monkeypatch):
+    if pipeline._openblas() is None:
+        pytest.skip("no bundled OpenBLAS to pin: the grid runs in this process")
+    build, parent = pipeline._build_systems, os.getpid()
+
+    def build_or_die(plan, scenario, *args):
+        if scenario == "multi-condition-train" and os.getpid() != parent:
+            os._exit(1)
+        return build(plan, scenario, *args)
+
+    monkeypatch.setattr(pipeline, "_build_systems", build_or_die)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    plan = {"seeds": [0], "n_train": 6, "split_sizes": [2, 3, 3], "len_range": [2, 3],
+            "hidden": 8, "train_epochs": 1, "finetune_epochs": 1, "adapt_epochs": 1,
+            "beam_width": 2}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
+    assert code == EXIT_STAGE
+    run_dir = next(tmp_path.glob("out/run-*"))
+    failed = [line for line in (run_dir / "report.txt").read_text().splitlines()
+              if line.startswith("failed: ")]
+    # the dying worker breaks the pool, so the other cell may be lost with it
+    lost = [line.split()[1] for line in failed]
+    assert "multi-condition-train" in lost and len(set(lost)) == len(lost)
+    assert all(": BrokenProcessPool: " in line for line in failed)
+    per_seed = {scenario: entry["per_seed"]["0"] for scenario, entry in
+                json.loads((run_dir / "report.json").read_text())["scenarios"].items()}
+    assert {scenario for scenario, cell in per_seed.items() if "error" in cell} == set(lost)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("command", ["train", "adapt"])

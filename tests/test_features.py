@@ -44,29 +44,29 @@ def silence(sr=8000, seconds=0.3):
 
 class TestSynth:
     def test_empty_corpus(self):
-        assert synth_corpus(SynthConfig(alphabet=ALPHABET), 0) == []
+        assert synth_corpus(SynthConfig(alphabet=ALPHABET), 0, (4, 10)) == []
 
     def test_clean_condition(self):
-        corpus = synth_corpus(SynthConfig(alphabet=ALPHABET, noise_kind="none"), 3)
+        corpus = synth_corpus(SynthConfig(alphabet=ALPHABET, noise_kind="none"), 3, (4, 10))
         assert all(u.condition == "clean" for u in corpus)
 
     def test_snr_realized(self):
         cfg = SynthConfig(alphabet=ALPHABET, noise_kind="babble", snr_db=10.0, seed=1)
-        for u in synth_corpus(cfg, 5):
+        for u in synth_corpus(cfg, 5, (4, 10)):
             realized = 10 * np.log10(u.signal_power / u.noise_power)
             assert realized == pytest.approx(10.0, abs=0.1)
 
     def test_determinism(self):
         cfg = SynthConfig(alphabet=ALPHABET, noise_kind="bandlimited", seed=4)
-        a = synth_corpus(cfg, 4)
-        b = synth_corpus(cfg, 4)
+        a = synth_corpus(cfg, 4, (4, 10))
+        b = synth_corpus(cfg, 4, (4, 10))
         for ua, ub in zip(a, b):
             assert ua.labels == ub.labels
             np.testing.assert_array_equal(ua.waveform, ub.waveform)
 
     def test_peak_bounded(self):
         cfg = SynthConfig(alphabet=ALPHABET, noise_kind="babble", snr_db=0.0, seed=2)
-        for u in synth_corpus(cfg, 5):
+        for u in synth_corpus(cfg, 5, (4, 10)):
             assert np.max(np.abs(u.waveform)) <= 1.0
 
     def test_band_centers_separated(self):
@@ -83,7 +83,7 @@ class TestSynth:
 
     def test_corpus_roundtrip(self, tmp_path):
         cfg = SynthConfig(alphabet=ALPHABET, noise_kind="babble", seed=3)
-        corpus = synth_corpus(cfg, 3)
+        corpus = synth_corpus(cfg, 3, (4, 10))
         manifest = save_corpus(corpus, ALPHABET, tmp_path)
         loaded, alphabet = load_corpus(manifest)
         assert alphabet.symbols == ALPHABET.symbols
@@ -142,7 +142,7 @@ class TestSte:
     def test_frame_count_agreement(self):
         cfg_f = FeatureConfig(kind="fbank")
         cfg_s = FeatureConfig(kind="ste")
-        corpus = synth_corpus(SynthConfig(alphabet=ALPHABET, seed=5), 3)
+        corpus = synth_corpus(SynthConfig(alphabet=ALPHABET, seed=5), 3, (4, 10))
         for u in corpus:
             assert fbank(u, cfg_f).shape[0] == ste(u, cfg_s).shape[0]
 
@@ -155,7 +155,8 @@ def ste_cases():
     exactly one 200-sample frame.
     """
     utts = [u for kind in NOISE_KINDS
-            for u in synth_corpus(SynthConfig(alphabet=ALPHABET, noise_kind=kind, seed=7), 2)]
+            for u in synth_corpus(SynthConfig(alphabet=ALPHABET, noise_kind=kind, seed=7), 2,
+                                  (4, 10))]
     rng = np.random.default_rng(9)
     for n in (4099, 8716, 200):
         utts.append(Utterance(id=f"n{n}", waveform=0.3 * rng.standard_normal(n),

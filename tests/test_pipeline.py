@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,7 @@ class TestPlan:
         ("seeds", 3),
         ("split_sizes", 5),
         ("scenarios", "clean-train"),
+        ("split_sizes", (1, 0, 1)),
     ])
     def test_bad_value_rejected_at_construction(self, field, value):
         # every config the plan derives is built up front, not inside a grid cell
@@ -342,6 +344,40 @@ class TestScenarioAndReport:
             twin = dir_b / ckpt.relative_to(dir_a)
             assert ckpt.read_bytes() == twin.read_bytes()
 
+    def test_parallel_run_directory_equals_serial(self, tmp_path, monkeypatch):
+        # one usable CPU runs the cells in this process, two in forked workers
+        blas = pipeline._openblas()
+        if blas is None:
+            pytest.skip("no bundled OpenBLAS to pin: the grid always runs serially")
+        run = pipeline.run_scenario_seed
+
+        def run_noting_process(plan, scenario, seed, run_dir):
+            note = [os.getpid(), blas.scipy_openblas_get_num_threads64_()]
+            (tmp_path / f"{run_dir.parent.name}-{scenario}.json").write_text(json.dumps(note))
+            return run(plan, scenario, seed, run_dir)
+
+        monkeypatch.setattr(pipeline, "run_scenario_seed", run_noting_process)
+        default_threads = blas.scipy_openblas_get_num_threads64_()
+        dirs = {}
+        try:
+            # the serial cells compute here with one BLAS thread, as each worker must
+            for cpus, threads in (({0}, 1), ({0, 1}, 2)):
+                blas.scipy_openblas_set_num_threads64_(threads)
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                _, dirs[len(cpus)] = run_experiment(TINY, tmp_path / f"cpus{len(cpus)}")
+        finally:
+            blas.scipy_openblas_set_num_threads64_(default_threads)
+        notes = {p.stem: tuple(json.loads(p.read_text())) for p in tmp_path.glob("*.json")}
+        assert [notes[f"cpus1-{s}"] for s in TINY.scenarios] == [(os.getpid(), 1)] * 2
+        workers = [notes[f"cpus2-{s}"] for s in TINY.scenarios]
+        assert [threads for _, threads in workers] == [1, 1]
+        assert len({os.getpid(), *(pid for pid, _ in workers)}) == 3
+        files = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file())
+                 for d in (dirs[1], dirs[2])]
+        # per cell one checkpoint per condition and hypotheses.json, then the two reports
+        assert files[0] == files[1] and len(files[0]) == 2 * (len(CONDITIONS) + 1) + 2
+        for rel in files[0]:
+            assert (dirs[1] / rel).read_bytes() == (dirs[2] / rel).read_bytes(), rel
 
 def test_traced_attributes_exist():
     # the benchmark's traced run rebinds these module attributes by name
