@@ -42,7 +42,7 @@ class SynthConfig:
         symbol_band_centers(self.alphabet)  # raises if the alphabet does not fit
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: the feature cache keys on the utterance
 class Utterance:
     id: str
     waveform: np.ndarray
@@ -92,8 +92,6 @@ def render_signal(cfg, labels, rng):
         if cfg.amp_jitter > 0.0:
             piece = piece * rng.uniform(1.0 - cfg.amp_jitter, 1.0)
         pieces.append(piece)
-    if not pieces:
-        pieces = [np.zeros(int(0.1 * SAMPLE_RATE))]
     return np.concatenate(pieces)
 
 

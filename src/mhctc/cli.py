@@ -15,13 +15,13 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .alphabet import LabelAlphabet
 from .audio import NOISE_KINDS, SynthConfig, load_corpus, save_corpus, synth_corpus
 from .decode import DecodeConfig, decode
-from .errors import ConfigError, InvalidInput, InvalidLabel, MhctcError, SizeError, read_text
+from .errors import ConfigError, InvalidInput, InvalidLabel, MhctcError, read_text
 from .features import FeatureConfig
 from .model import TrainConfig, load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -166,11 +166,8 @@ def cmd_adapt(args):
         if missing:
             flags = ", ".join("--" + k.replace("_", "-") for k in missing)
             raise ConfigError(f"{args.condition} requires {flags}")
-        # the feature cache is keyed by utterance id, and two separately
-        # synthesized manifests reuse the same ids
-        labeled = [replace(u, id=f"labeled:{u.id}") for u in _load_utts(args.labeled, symbols)]
-        split = AdaptationSplit(labeled=labeled, unlabeled=_load_utts(args.unlabeled, symbols),
-                                test=[])
+        split = AdaptationSplit(labeled=_load_utts(args.labeled, symbols),
+                                unlabeled=_load_utts(args.unlabeled, symbols), test=[])
         hyps_a = _load_hyps(args.hyps_a) if args.hyps_a else {}
         hyps_b = _load_hyps(args.hyps_b) if args.hyps_b else {}
         data = condition_dataset(args.condition, split, hyps_a, hyps_b, system, {})
@@ -246,8 +243,7 @@ def main(argv=None):
             raise ConfigError(f"cannot write {out}: it is a directory or its folder does not exist")
         return COMMANDS[args.command](args)
     # an OSError (missing file, a directory given for a file, ...) names its path
-    except (ConfigError, SizeError, InvalidLabel, InvalidInput, json.JSONDecodeError,
-            OSError) as exc:
+    except (ConfigError, InvalidLabel, InvalidInput, json.JSONDecodeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MhctcError as exc:

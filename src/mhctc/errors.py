@@ -32,10 +32,6 @@ class TooShort(MhctcError):
     """Waveform shorter than one analysis frame."""
 
 
-class SizeError(MhctcError):
-    """Requested split sizes exceed the corpus size."""
-
-
 class ConfigError(MhctcError):
     """Invalid or inconsistent configuration."""
 

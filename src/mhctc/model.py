@@ -136,7 +136,11 @@ def forward(params, x):
 
 
 def _backward_from(params, xc, h, logp, grad_logp):
-    """Parameter gradients; ``grad_logp`` is a float array of ``logp``'s shape (``backward`` checks)."""
+    """Parameter gradients; ``grad_logp`` is d(loss)/d(logp), a float array of ``logp``'s shape.
+
+    The chain rule runs back through log-softmax, the affine output layer,
+    tanh, and the affine input layer.
+    """
     du = logits_gradient(logp, grad_logp)
     dh = du @ params.w2.T
     dz = dh * (1.0 - h * h)
@@ -146,22 +150,6 @@ def _backward_from(params, xc, h, logp, grad_logp):
         "w2": h.T @ du,
         "b2": du.sum(axis=0),
     }
-
-
-def backward(params, x, grad_logp):
-    """Gradients of the loss w.r.t. every parameter.
-
-    ``grad_logp`` is d(loss)/d(logp) at the forward output; the chain rule
-    runs back through log-softmax, the affine output layer, tanh, and the
-    affine input layer.
-    """
-    xc, h, logp = _forward_activations(params, _check_features(params, x))
-    grad_logp = np.asarray(grad_logp, dtype=np.float64)
-    if grad_logp.shape != logp.shape:
-        raise ShapeError(
-            f"grad_logp shape {grad_logp.shape} != output shape {logp.shape}"
-        )
-    return _backward_from(params, xc, h, logp, grad_logp)
 
 
 def sgd_train(params, dataset, cfg):

@@ -30,7 +30,7 @@ import numpy as np
 from .alphabet import LabelAlphabet
 from .audio import SynthConfig, synth_corpus
 from .decode import DecodeConfig, beam_decode, greedy_decode
-from .errors import ConfigError, SizeError, check_ints
+from .errors import ConfigError, check_ints
 from .features import FeatureConfig, cmn, extract
 from .mh import HypothesisSet
 from .model import (
@@ -164,12 +164,11 @@ class System:
 
 
 def make_splits(corpus, sizes, seed):
-    """Seeded shuffle then partition into labeled / unlabeled / test."""
+    """Seeded shuffle then partition into labeled / unlabeled / test.
+
+    ``sizes`` must not sum past ``len(corpus)``; the callers synthesize exactly that many.
+    """
     n_lab, n_unlab, n_test = sizes
-    if n_lab + n_unlab + n_test > len(corpus):
-        raise SizeError(
-            f"split sizes {sizes} exceed corpus of {len(corpus)} utterances"
-        )
     order = np.random.default_rng(seed).permutation(len(corpus))
     picked = [corpus[i] for i in order]
     return AdaptationSplit(
@@ -182,7 +181,7 @@ def make_splits(corpus, sizes, seed):
 def _features_for(system, utts, cache):
     feats = []
     for u in utts:
-        key = (system.feature_cfg, u.id)
+        key = (system.feature_cfg, u)
         if key not in cache:
             cache[key] = cmn(extract(u, system.feature_cfg))
         feats.append(cache[key])
@@ -248,9 +247,7 @@ def condition_dataset(condition, split, hyps_a, hyps_b, system, cache):
     (``hyps_a`` / ``hyps_b``: id -> 1-best of A / B), two as one HypothesisSet.
     Features come from ``system``'s front end.
     """
-    sources = CONDITION_TARGETS.get(condition)
-    if sources is None:
-        raise ConfigError(f"condition {condition!r} has no adaptation data")
+    sources = CONDITION_TARGETS[condition]
     data = labeled_data(system, split.labeled, cache)
     if not sources:
         return data

@@ -8,7 +8,7 @@ from scipy.signal import butter, filtfilt
 from mhctc.alphabet import BLANK, LabelAlphabet, validate_transcription
 from mhctc.ctc import NEG_INF, LossResult, check_logp, collapse_path, expand_labels, min_frames
 from mhctc.decode import DecodeConfig, DecodedHypothesis
-from mhctc.errors import ConfigError, InfeasibleAlignment, MhctcError
+from mhctc.errors import InfeasibleAlignment, MhctcError, ShapeError
 from mhctc.features import (
     ENV_CUTOFF_HZ,
     LOG_FLOOR_VALUE,
@@ -17,6 +17,7 @@ from mhctc.features import (
     _gaussian_weights,
     mel_band_edges,
 )
+from mhctc.model import _backward_from, _check_features, _forward_activations
 from mhctc.score import WerReport
 
 ORACLE_GUARD = 10**7
@@ -191,8 +192,6 @@ def ste_reference(utt, cfg):
     Reference for the batched ``mhctc.features.ste``, which must return
     byte-identical features.
     """
-    if cfg.kind != "ste":
-        raise ConfigError("ste() requires cfg.kind == 'ste'")
     x = np.asarray(utt.waveform, dtype=np.float64)
     sr = utt.sample_rate
     flen, hop, n_frames = _framing(x.size, sr)
@@ -221,6 +220,22 @@ def stack_context_reference(x, context):
     padded[w : w + T] = x
     cols = [padded[i : i + T] for i in range(2 * w + 1)]
     return np.concatenate(cols, axis=1)
+
+
+def backward(params, x, grad_logp):
+    """Checked gradients of the loss w.r.t. every parameter of one utterance.
+
+    ``grad_logp`` is d(loss)/d(logp) at the forward output. The features
+    and ``grad_logp``'s shape are checked against the model, then the
+    chain rule that ``sgd_train`` runs gives the gradients.
+    """
+    xc, h, logp = _forward_activations(params, _check_features(params, x))
+    grad_logp = np.asarray(grad_logp, dtype=np.float64)
+    if grad_logp.shape != logp.shape:
+        raise ShapeError(
+            f"grad_logp shape {grad_logp.shape} != output shape {logp.shape}"
+        )
+    return _backward_from(params, xc, h, logp, grad_logp)
 
 
 def recursive_edit_distance(ref, hyp):

@@ -21,12 +21,13 @@ from mhctc.ctc import ctc_loss, logits_gradient
 from mhctc.decode import DecodeConfig, beam_decode
 from mhctc.features import FeatureConfig, fbank, ste
 from mhctc.mh import HypothesisSet, mh_ctc_loss
-from mhctc.model import ModelConfig, backward, forward, init_model
+from mhctc.model import ModelConfig, forward, init_model
 from mhctc.pipeline import ExperimentPlan, run_experiment
 from mhctc.score import edit_distance
 
 from helpers import (
     DEFAULT_ALPHABET,
+    backward,
     ctc_loss_bruteforce,
     exhaustive_best_labeling,
     mel_center_frequencies,

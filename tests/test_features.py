@@ -14,7 +14,7 @@ from mhctc.audio import (
     symbol_band_centers,
     synth_corpus,
 )
-from mhctc.errors import TooShort
+from mhctc.errors import ConfigError, TooShort
 from mhctc.features import (
     FeatureConfig,
     _triangle_weights,
@@ -185,6 +185,11 @@ def test_fbank_filterbank_is_built_once_per_front_end():
 
 
 class TestFeatureCache:
+    def test_unknown_kind_rejected(self):
+        # extract dispatches on the kind, so the config is where it is checked
+        with pytest.raises(ConfigError, match="feature kind must be 'fbank' or 'ste'"):
+            FeatureConfig(kind="mfcc")
+
     def test_extract_dispatch(self):
         u = tone(700.0)
         np.testing.assert_array_equal(

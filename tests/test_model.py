@@ -10,7 +10,6 @@ from mhctc.mh import HypothesisSet
 from mhctc.model import (
     ModelConfig,
     TrainConfig,
-    backward,
     forward,
     init_model,
     load_checkpoint,
@@ -20,7 +19,7 @@ from mhctc.model import (
     with_lineage,
 )
 
-from helpers import stack_context_reference
+from helpers import backward, stack_context_reference
 
 
 def tiny_model(seed=0, feat_dim=3, n_outputs=3, context=1, hidden=5):
