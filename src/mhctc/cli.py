@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .alphabet import LabelAlphabet
 from .audio import NOISE_KINDS, SynthConfig, load_corpus, save_corpus, synth_corpus
+from .blas import pin_one_thread
 from .decode import DecodeConfig, decode
 from .errors import ConfigError, InvalidInput, InvalidLabel, MhctcError, read_text
 from .features import FeatureConfig
@@ -236,6 +237,8 @@ def main(argv=None):
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    if pin_one_thread() is None:  # one thread: the same bits serial or forked, on any box
+        log.info("no bundled OpenBLAS to pin: outputs follow the BLAS thread count")
     try:
         # an output file is checked before any input is loaded or model trained
         out = Path(args.out) if args.command in ("train", "adapt", "decode") else None

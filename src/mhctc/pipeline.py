@@ -12,7 +12,9 @@ Protocol per scenario and seed:
 
 Everything is keyed by seeds and a config hash; reruns with the same plan
 produce byte-identical reports and checkpoints. The (scenario, seed) cells
-are independent, so they run in forked workers, one per usable CPU.
+are independent, and so are systems A and B up to their pseudo-labels and
+the conditions given system A: ``parallel_map`` runs each such set in
+forked workers, one per usable CPU, and never inside a worker.
 """
 
 import ctypes
@@ -21,14 +23,17 @@ import json
 import logging
 import multiprocessing
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .alphabet import LabelAlphabet
 from .audio import SynthConfig, synth_corpus
+from .blas import openblas, pin_one_thread
 from .decode import DecodeConfig, beam_decode, greedy_decode
 from .errors import ConfigError, check_ints
 from .features import FeatureConfig, cmn, extract
@@ -214,29 +219,29 @@ def decode_set(system, utts, decoder, cache):
 
 
 def run_supervised_stage(sys_a, sys_b, split, plan, seed, cache):
-    """Fine-tune both systems on the labeled subset (plain CTC)."""
+    """Fine-tune both systems on the labeled subset (plain CTC; ``parallel_map``)."""
     if not split.labeled:
         log.info("supervised stage skipped: labeled set empty")
         return sys_a, sys_b
-    return tuple(
-        train_system(system, labeled_data(system, split.labeled, cache),
-                     plan.train_cfg("finetune", seed),
-                     f"supervised-stage:{system.name}:seed={seed}")
-        for system in (sys_a, sys_b)
-    )
+
+    def finetune(system):
+        return train_system(system, labeled_data(system, split.labeled, cache),
+                            plan.train_cfg("finetune", seed),
+                            f"supervised-stage:{system.name}:seed={seed}")
+    return tuple(parallel_map(finetune, (sys_a, sys_b)))
 
 
 def run_pseudo_label_stage(sys_a_hat, sys_b_hat, split, plan, cache):
-    """Beam-decode the unlabeled subset with both fine-tuned systems."""
+    """Beam-decode the unlabeled subset with both fine-tuned systems (``parallel_map``)."""
     decode_cfg = DecodeConfig(beam_width=plan.beam_width, mode="beam")
-    hyps = []
-    for system in (sys_a_hat, sys_b_hat):
+
+    def pseudo_label(system):
         out = decode_set(system, split.unlabeled, lambda logp: beam_decode(logp, decode_cfg), cache)
         for uid, labels in out.items():
             if not labels:
                 log.info("empty hypothesis from %s for %s", system.name, uid)
-        hyps.append(out)
-    return hyps[0], hyps[1]
+        return out
+    return tuple(parallel_map(pseudo_label, (sys_a_hat, sys_b_hat)))
 
 
 def condition_dataset(condition, split, hyps_a, hyps_b, system, cache):
@@ -284,7 +289,7 @@ def evaluate(system, utts, plan, cache):
 
 
 def _build_systems(plan, scenario, seed, alphabet, cache):
-    """Train the initial FBANK and STE systems for one scenario."""
+    """Train the initial FBANK and STE systems for one scenario (``parallel_map``)."""
     base = plan.synth_cfg("none", seed * 1000 + 1)
     if scenario == "clean-train":
         train_corpus = synth_corpus(base, plan.n_train, plan.len_range, id_prefix="tr")
@@ -294,16 +299,15 @@ def _build_systems(plan, scenario, seed, alphabet, cache):
         noisy = synth_corpus(plan.synth_cfg(plan.train_noise_kind, seed * 1000 + 2),
                              plan.n_train - half, plan.len_range, id_prefix="trn")
         train_corpus = clean + noisy
-    systems = []
-    for i, (name, kind) in enumerate((("sysA", "fbank"), ("sysB", "ste"))):
-        system = init_system(
-            name, plan.feature_cfg(kind), alphabet.n_outputs, plan.context, plan.hidden,
-            seed * 10 + i,
-        )
+
+    def build(i):
+        name, kind = (("sysA", "fbank"), ("sysB", "ste"))[i]
+        system = init_system(name, plan.feature_cfg(kind), alphabet.n_outputs, plan.context,
+                             plan.hidden, seed * 10 + i)
         data = labeled_data(system, train_corpus, cache)
-        step = f"train:{scenario}:{name}:seed={seed}"
-        systems.append(train_system(system, data, plan.train_cfg("train", seed), step))
-    return systems[0], systems[1]
+        return train_system(system, data, plan.train_cfg("train", seed),
+                            f"train:{scenario}:{name}:seed={seed}")
+    return tuple(parallel_map(build, (0, 1)))
 
 
 def run_scenario_seed(plan, scenario, seed, run_dir):
@@ -318,6 +322,7 @@ def run_scenario_seed(plan, scenario, seed, run_dir):
     adapt_cfg = plan.synth_cfg(plan.noise_kind, seed * 1000 + 3)
     corpus = synth_corpus(adapt_cfg, sum(plan.split_sizes), plan.len_range, id_prefix="ad")
     split = make_splits(corpus, plan.split_sizes, seed)
+    _features_for(sys_a, corpus, cache)  # every later stage uses them, forked workers too
 
     sys_a_hat, sys_b_hat = run_supervised_stage(sys_a, sys_b, split, plan, seed, cache)
     hyps_a, hyps_b = run_pseudo_label_stage(sys_a_hat, sys_b_hat, split, plan, cache)
@@ -330,21 +335,21 @@ def run_scenario_seed(plan, scenario, seed, run_dir):
 
     cell_dir = Path(run_dir) / scenario / f"seed{seed}"
     cell_dir.mkdir(parents=True, exist_ok=True)
-    results = {}
-    for condition in plan.conditions:
+
+    def adapt_and_score(condition):
         adapted = run_adaptation_condition(
-            condition, sys_a, split, hyps_a, hyps_b, plan, seed, cache
-        )
+            condition, sys_a, split, hyps_a, hyps_b, plan, seed, cache)
         wer, cer = evaluate(adapted, split.test, plan, cache)
-        results[condition] = {
+        save_checkpoint(adapted.params, cell_dir / f"{condition}.ckpt", adapted.feature_cfg,
+                        alphabet_symbols=alphabet.symbols)
+        return {
             "wer": round(wer.wer, 4),
             "cer": round(cer.wer, 4),
             "errors": wer.errors,
             "ref_words": wer.ref_words,
             "lineage": list(adapted.params.lineage),
         }
-        save_checkpoint(adapted.params, cell_dir / f"{condition}.ckpt", adapted.feature_cfg,
-                        alphabet_symbols=alphabet.symbols)
+    results = dict(zip(plan.conditions, parallel_map(adapt_and_score, plan.conditions)))
     payload = {name: {k: [int(v) for v in vs] for k, vs in sorted(hyps.items())}
                for name, hyps in (("sysA", hyps_a), ("sysB", hyps_b))}
     (cell_dir / "hypotheses.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
@@ -361,39 +366,62 @@ def run_cell(plan, scenario, seed, run_dir):
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _openblas():
-    """numpy's bundled OpenBLAS, whose thread count can be set, or None."""
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
-        lib = ctypes.CDLL(str(path))  # numpy has loaded it: this is its handle
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            lib.scipy_openblas_set_num_threads64_.restype = None
-            return lib
-    return None
+_calls = []  # the running pool's calls: a forked worker shares them and runs one by index
+
+
+def _start_worker(parent):
+    """Pool initializer: die with ``parent`` and compute with one BLAS thread."""
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG: SIGKILL when the parent dies
+    if os.getppid() != parent:  # it died first, so no signal will come
+        os._exit(1)
+    pin_one_thread()
+
+
+def _run_call(i):
+    return _calls[i]()
+
+
+def _parallel_outcomes(fn, items):
+    """``fn`` of each item, in order, on the usable CPUs; a forked call's exception is its outcome.
+
+    The workers are forked, so they import nothing again, share this
+    process's memory (features already cached included) and stay its
+    children (OpenBLAS stops its threads across a fork). Each call goes
+    over as an index, so only outcomes are pickled, and each worker uses
+    one BLAS thread, so that the workers do not oversubscribe the CPUs.
+    With one item, one usable CPU (``taskset -c 0``), no BLAS that can
+    be pinned, or inside a worker process (no nested pools), the calls run
+    here, one after another, and an exception is raised at once.
+    """
+    blas = openblas()  # None off Linux, where os.sched_getaffinity is missing too
+    workers = min(len(items), len(os.sched_getaffinity(0))) if blas else 1
+    if workers < 2 or multiprocessing.parent_process():  # no pool inside a pool worker
+        return [fn(item) for item in items]
+    _calls[:] = [partial(fn, item) for item in items]  # a fork pool forks at its first submit
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(os.getpid(),)) as pool:
+        futures = [pool.submit(_run_call, i) for i in range(len(items))]
+    _calls.clear()
+    # a worker that died (BrokenProcessPool) takes every call not finished by then down
+    return [future.exception() or future.result() for future in futures]
+
+
+def parallel_map(fn, items):
+    """``[fn(item) for item in items]`` on the usable CPUs; raises the first exception in order."""
+    outcomes = _parallel_outcomes(fn, items)
+    for failed in (outcome for outcome in outcomes if isinstance(outcome, Exception)):
+        raise failed
+    return outcomes
 
 
 def _run_cells(plan, cells, run_dir):
-    """``run_cell`` of each (scenario, seed), in order, on the usable CPUs.
-
-    The workers are forked, so they import nothing again and stay this
-    process's children (OpenBLAS stops its threads across a fork), and each
-    uses one BLAS thread, so that they do not oversubscribe the CPUs. Where
-    BLAS cannot be pinned, or one CPU is usable (``taskset -c 0``), the
-    cells run here, one after another.
-    """
-    blas = _openblas()  # None off Linux, where os.sched_getaffinity is missing too
-    workers = min(len(cells), len(os.sched_getaffinity(0))) if blas else 1
-    if workers < 2:
-        return [run_cell(plan, scenario, seed, run_dir) for scenario, seed in cells]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=blas.scipy_openblas_set_num_threads64_,
-                             initargs=(1,)) as pool:
-        futures = [pool.submit(run_cell, plan, scenario, seed, run_dir)
-                   for scenario, seed in cells]
-    # run_cell catches what a cell raises, so a future fails only when its
-    # worker died (BrokenProcessPool), which takes every unfinished cell down
-    return [{"error": f"{type(exc).__name__}: {exc}"} if (exc := future.exception())
-            else future.result() for future in futures]
+    """``run_cell`` of each (scenario, seed), in order, on the usable CPUs."""
+    outcomes = _parallel_outcomes(lambda cell: run_cell(plan, *cell, run_dir), cells)
+    # run_cell catches what a cell raises, so only a dead worker fails a call
+    return [{"error": f"{type(out).__name__}: {out}"} if isinstance(out, Exception) else out
+            for out in outcomes]
 
 
 def run_experiment(plan, out_dir):

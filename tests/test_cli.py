@@ -4,7 +4,12 @@ import json
 import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
+import time
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ import pytest
 from mhctc import pipeline
 from mhctc.alphabet import LabelAlphabet
 from mhctc.audio import SynthConfig, load_corpus, save_corpus
+from mhctc.blas import openblas
 from mhctc.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, _config_from, build_parser, main
 from mhctc.decode import DecodeConfig, beam_decode
 from mhctc.errors import InvalidInput
@@ -22,6 +28,10 @@ from mhctc.pipeline import ExperimentPlan
 TRAINABLE = ("supervised-labeled", "supervised-all", "semi-sup-A", "semi-sup-B", "mh-ctc")
 FAST_TRAIN = ["--hidden", "16", "--epochs", "2"]
 ADAPT_TRAIN = ["--epochs", "1", "--learning-rate", "0.01", "--seed", "3"]
+# a two-cell experiment of a few seconds
+TINY_PLAN = {"seeds": [0], "n_train": 6, "split_sizes": [2, 3, 3], "len_range": [2, 3],
+             "hidden": 8, "train_epochs": 1, "finetune_epochs": 1, "adapt_epochs": 1,
+             "beam_width": 2}
 
 
 def run(*argv):
@@ -480,10 +490,7 @@ def test_failed_grid_cell_is_a_stage_failure(tmp_path, capsys, caplog, monkeypat
         return build(plan, scenario, *args)
 
     monkeypatch.setattr(pipeline, "_build_systems", build_or_fail)
-    plan = {"seeds": [0], "n_train": 6, "split_sizes": [2, 3, 3], "len_range": [2, 3],
-            "hidden": 8, "train_epochs": 1, "finetune_epochs": 1, "adapt_epochs": 1,
-            "beam_width": 2}
-    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    (tmp_path / "plan.json").write_text(json.dumps(TINY_PLAN))
     code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
     assert code == EXIT_STAGE
     text = next(tmp_path.glob("out/run-*/report.txt")).read_text()
@@ -499,7 +506,7 @@ def test_failed_grid_cell_is_a_stage_failure(tmp_path, capsys, caplog, monkeypat
 
 
 def test_dead_grid_worker_is_a_stage_failure(tmp_path, capsys, monkeypatch):
-    if pipeline._openblas() is None:
+    if openblas() is None:
         pytest.skip("no bundled OpenBLAS to pin: the grid runs in this process")
     build, parent = pipeline._build_systems, os.getpid()
 
@@ -510,10 +517,7 @@ def test_dead_grid_worker_is_a_stage_failure(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(pipeline, "_build_systems", build_or_die)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    plan = {"seeds": [0], "n_train": 6, "split_sizes": [2, 3, 3], "len_range": [2, 3],
-            "hidden": 8, "train_epochs": 1, "finetune_epochs": 1, "adapt_epochs": 1,
-            "beam_width": 2}
-    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    (tmp_path / "plan.json").write_text(json.dumps(TINY_PLAN))
     code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
     assert code == EXIT_STAGE
     run_dir = next(tmp_path.glob("out/run-*"))
@@ -528,6 +532,127 @@ def test_dead_grid_worker_is_a_stage_failure(tmp_path, capsys, monkeypatch):
     assert {scenario for scenario, cell in per_seed.items() if "error" in cell} == set(lost)
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_failed_stage_worker_is_reported_as_serially(tmp_path, capsys, caplog, monkeypatch):
+    if openblas() is None:
+        pytest.skip("no bundled OpenBLAS to pin: the stages run in this process")
+    train = pipeline.train_system
+
+    def train_or_fail(system, data, train_cfg, step):
+        if step.startswith("train:") and system.name == "sysB":
+            (tmp_path / f"raised-in-{os.getpid()}").touch()
+            raise InvalidInput("no system B today")
+        return train(system, data, train_cfg, step)
+
+    monkeypatch.setattr(pipeline, "train_system", train_or_fail)
+    (tmp_path / "plan.json").write_text(json.dumps(dict(TINY_PLAN, scenarios=["clean-train"])))
+    seen = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        caplog.clear()
+        out = tmp_path / f"cpus{len(cpus)}"
+        assert run("experiment", "--config", tmp_path / "plan.json", "--out", out) == EXIT_STAGE
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        seen.append((next(out.glob("run-*/report.txt")).read_text(), errors))
+    # B's build raised here, then in a forked worker
+    raised = {p.name for p in tmp_path.glob("raised-in-*")}
+    assert f"raised-in-{os.getpid()}" in raised and len(raised) == 2
+    assert seen[0] == seen[1]
+    report, errors = seen[0]
+    assert report.endswith("failed: clean-train seed 0: InvalidInput: no system B today\n")
+    assert errors == ["scenario clean-train seed 0 failed: InvalidInput: no system B today"]
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def test_dead_stage_worker_is_a_stage_failure(tmp_path, capsys, monkeypatch):
+    if openblas() is None:
+        pytest.skip("no bundled OpenBLAS to pin: the stages run in this process")
+    train, parent = pipeline.train_system, os.getpid()
+
+    def train_or_die(system, data, train_cfg, step):
+        if system.name == "sysB" and os.getpid() != parent:
+            os._exit(1)
+        return train(system, data, train_cfg, step)
+
+    monkeypatch.setattr(pipeline, "train_system", train_or_die)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    (tmp_path / "plan.json").write_text(json.dumps(dict(TINY_PLAN, scenarios=["clean-train"])))
+    code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
+    assert code == EXIT_STAGE
+    report = next(tmp_path.glob("out/run-*/report.txt")).read_text()
+    failed = [line for line in report.splitlines() if line.startswith("failed: ")]
+    assert len(failed) == 1
+    assert failed[0].startswith("failed: clean-train seed 0: BrokenProcessPool: ")
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _children(pid):
+    """Pids of the live (not zombie) processes whose parent is ``pid``, read from /proc."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process ended meanwhile
+            continue
+        if fields[1] == str(pid) and fields[0] != "Z":
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _alive(pid):
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def test_killed_experiment_leaves_no_workers(tmp_path):
+    if openblas() is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs a bundled OpenBLAS and two usable CPUs: else nothing forks")
+    # one cell whose two system builds take a few seconds each
+    plan = dict(TINY_PLAN, scenarios=["clean-train"], n_train=20, hidden=32, train_epochs=40)
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mhctc.cli", "experiment", "--config", tmp_path / "plan.json",
+         "--out", tmp_path / "out"],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+            workers = _children(proc.pid)
+        assert len(workers) == 2, "the experiment forked no workers"
+        proc.terminate()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(map(_alive, workers))
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
+def test_checkpoint_bytes_do_not_follow_the_blas_threads(ws, tmp_path):
+    blas = openblas()
+    if blas is None:
+        pytest.skip("no bundled OpenBLAS to pin")
+    default_threads = blas.scipy_openblas_get_num_threads64_()
+    try:
+        for threads in (2, 1):
+            blas.scipy_openblas_set_num_threads64_(threads)
+            assert run("train", "--corpus", ws / "train/manifest.json",
+                       "--out", tmp_path / f"threads{threads}.ckpt", "--epochs", 2) == EXIT_OK
+    finally:
+        blas.scipy_openblas_set_num_threads64_(default_threads)
+    assert (tmp_path / "threads2.ckpt").read_bytes() == (tmp_path / "threads1.ckpt").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["train", "adapt"])

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mhctc import pipeline
 from mhctc.alphabet import LabelAlphabet
 from mhctc.audio import SynthConfig, synth_corpus
+from mhctc.blas import openblas
 from mhctc.ctc import ctc_loss
 from mhctc.errors import ConfigError
 from mhctc.features import FeatureConfig, cmn, extract
@@ -348,17 +350,23 @@ class TestScenarioAndReport:
 
     def test_parallel_run_directory_equals_serial(self, tmp_path, monkeypatch):
         # one usable CPU runs the cells in this process, two in forked workers
-        blas = pipeline._openblas()
+        blas = openblas()
         if blas is None:
             pytest.skip("no bundled OpenBLAS to pin: the grid always runs serially")
-        run = pipeline.run_scenario_seed
+        run, train = pipeline.run_scenario_seed, pipeline.train_system
 
         def run_noting_process(plan, scenario, seed, run_dir):
             note = [os.getpid(), blas.scipy_openblas_get_num_threads64_()]
             (tmp_path / f"{run_dir.parent.name}-{scenario}.json").write_text(json.dumps(note))
             return run(plan, scenario, seed, run_dir)
 
+        def train_noting_process(system, data, train_cfg, step):
+            with (tmp_path / "train-pids.txt").open("a") as f:
+                f.write(f"{os.getpid()}\n")
+            return train(system, data, train_cfg, step)
+
         monkeypatch.setattr(pipeline, "run_scenario_seed", run_noting_process)
+        monkeypatch.setattr(pipeline, "train_system", train_noting_process)
         default_threads = blas.scipy_openblas_get_num_threads64_()
         dirs = {}
         try:
@@ -366,6 +374,7 @@ class TestScenarioAndReport:
             for cpus, threads in (({0}, 1), ({0, 1}, 2)):
                 blas.scipy_openblas_set_num_threads64_(threads)
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                (tmp_path / "train-pids.txt").unlink(missing_ok=True)
                 _, dirs[len(cpus)] = run_experiment(TINY, tmp_path / f"cpus{len(cpus)}")
         finally:
             blas.scipy_openblas_set_num_threads64_(default_threads)
@@ -374,12 +383,63 @@ class TestScenarioAndReport:
         workers = [notes[f"cpus2-{s}"] for s in TINY.scenarios]
         assert [threads for _, threads in workers] == [1, 1]
         assert len({os.getpid(), *(pid for pid, _ in workers)}) == 3
-        files = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file())
-                 for d in (dirs[1], dirs[2])]
+        # no nested pools: a cell worker trains its two builds, two fine-tunes and five adaptations
+        train_pids = (tmp_path / "train-pids.txt").read_text().split()
+        assert sorted(train_pids) == sorted([str(pid) for pid, _ in workers] * 9)
         # per cell one checkpoint per condition and hypotheses.json, then the two reports
-        assert files[0] == files[1] and len(files[0]) == 2 * (len(CONDITIONS) + 1) + 2
-        for rel in files[0]:
-            assert (dirs[1] / rel).read_bytes() == (dirs[2] / rel).read_bytes(), rel
+        assert same_files(dirs[1], dirs[2]) == 2 * (len(CONDITIONS) + 1) + 2
+
+    def test_one_cell_forks_its_stages_with_the_serial_bytes(self, tmp_path, monkeypatch):
+        # a one-cell plan leaves a CPU idle, so the cell's independent stages fork
+        blas = openblas()
+        if blas is None:
+            pytest.skip("no bundled OpenBLAS to pin: the stages always run serially")
+        train, decode_set = pipeline.train_system, pipeline.decode_set
+
+        def note(call):
+            with (tmp_path / "calls.txt").open("a") as f:
+                f.write(json.dumps([call, os.getpid(), blas.scipy_openblas_get_num_threads64_()])
+                        + "\n")
+
+        def train_noting(system, data, train_cfg, step):
+            note(step)
+            return train(system, data, train_cfg, step)
+
+        def decode_noting(system, utts, decoder, cache):
+            note(f"decode:{system.name}:{len(utts)}")
+            return decode_set(system, utts, decoder, cache)
+
+        monkeypatch.setattr(pipeline, "train_system", train_noting)
+        monkeypatch.setattr(pipeline, "decode_set", decode_noting)
+        plan = replace(TINY, scenarios=("clean-train",))
+        default_threads = blas.scipy_openblas_get_num_threads64_()
+        dirs, calls = {}, {}
+        try:
+            for cpus, threads in (({0}, 1), ({0, 1}, 2)):
+                blas.scipy_openblas_set_num_threads64_(threads)
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                _, dirs[len(cpus)] = run_experiment(plan, tmp_path / f"cpus{len(cpus)}")
+                lines = (tmp_path / "calls.txt").read_text().splitlines()
+                calls[len(cpus)] = [json.loads(line) for line in lines]
+                (tmp_path / "calls.txt").unlink()
+        finally:
+            blas.scipy_openblas_set_num_threads64_(default_threads)
+        # two builds, two fine-tunes, two pseudo-labellings, five adaptations, six evaluations
+        assert len(calls[1]) == 2 + 2 + 2 + 5 + 6
+        assert sorted(call for call, _, _ in calls[1]) == sorted(call for call, _, _ in calls[2])
+        assert {(pid, threads) for _, pid, threads in calls[1]} == {(os.getpid(), 1)}
+        assert all(pid != os.getpid() and threads == 1 for _, pid, threads in calls[2])
+        assert same_files(dirs[1], dirs[2]) == len(CONDITIONS) + 1 + 2
+
+
+def same_files(dir_a, dir_b):
+    """The number of files in two run directories, after asserting them byte-identical."""
+    files = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file()) for d in (dir_a, dir_b)]
+    assert files[0] == files[1]
+    for rel in files[0]:
+        assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes(), rel
+    return len(files[0])
+
 
 def test_traced_attributes_exist():
     # the benchmark's traced run rebinds these module attributes by name
