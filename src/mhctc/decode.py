@@ -45,72 +45,97 @@ def greedy_decode(logp):
     return DecodedHypothesis(labels=labels, log_prob=float(logp.max(axis=1).sum()))
 
 
+def _prefix(node, up, sym):
+    """The labels of trie node ``node``, read by walking up to the root."""
+    labels = []
+    while node:
+        labels.append(sym[node])
+        node = up[node]
+    return tuple(reversed(labels))
+
+
 def beam_decode(logp, cfg=DecodeConfig()):
     """CTC prefix beam search (Hannun et al. 2014, Algorithm 1); returns the best final prefix.
 
-    Kept prefixes are integer nodes of a trie.  Each frame scores kept
-    prefix i as entry (i, 0) of one n x K table and its extension by symbol
-    k as entry (i, k).  A slot of a new prefix sums at most two terms, its
-    own repeat and its parent's extension, and ``np.logaddexp`` is exactly
-    commutative, so no order of accumulation can change a mass.  An
-    extension has no blank mass, and ``logaddexp(-inf, v) == v``, so its
-    entry is already its total.
+    Kept prefixes are integer nodes of a trie, held as a set, not a ranking.
+    Each frame scores kept prefix i as entry (i, 0) of one n x K table and
+    its extension by symbol k as entry (i, k), then keeps the entries at or
+    above the W-th largest mass.  A slot of a new prefix sums at most two
+    terms, its own repeat and its parent's extension, and ``np.logaddexp``
+    is exactly commutative, so neither the order of the kept set nor the
+    order of accumulation can change a mass.  An extension has no blank
+    mass, and ``logaddexp(-inf, v) == v``, so its entry is already its
+    total.  Prefixes are compared only to break a tie at the cut and to
+    pick the best prefix after the last frame.
     """
     logp = np.asarray(logp, dtype=np.float64)
     K, W = logp.shape[1], cfg.beam_width
-    # the trie: parent node * K + symbol -> child node, and each node's parent
-    trie, up = {}, [-1]
-    # kept nodes, prefixes and last symbols (BLANK for the empty prefix), and
+    # the trie: parent node * K + symbol -> child node, and each node's parent and last symbol
+    trie, up, sym = {}, [-1], [BLANK]
+    # kept nodes, the flat table entries of the nodes themselves (column 0), and
     # the log masses of each in total and ending in blank / non-blank
-    nodes, prefixes, lasts = [0], [()], [BLANK]
-    total, pb, pnb, last = np.zeros(1), np.zeros(1), np.full(1, NEG_INF), np.zeros(1, dtype=int)
-    # entry of each kept parent's extension that is a kept child, and that child
+    nodes, col0 = [0], [0]
+    total, pb, pnb = np.zeros(1), np.zeros(1), np.full(1, NEG_INF)
+    # each kept node's last symbol (BLANK for the empty prefix), the flat entry of
+    # its extension by that symbol, the entry of each kept parent's extension that
+    # is a kept child, and that child
+    last = rep = np.zeros(1, dtype=int)
     src = dst = np.zeros(0, dtype=int)
     for row in logp:
         table = np.add.outer(total, row)
         # extending by the last symbol needs a blank in between; the empty
         # prefix's entry (i, BLANK) gets pb + row[BLANK], its own value, as pb == total
         r = row[last]
-        table.put(np.arange(0, table.size, K) + last, pb + r)
+        table.put(rep, pb + r)
         nb = pnb + r
         if dst.size:  # a kept child takes its parent's extension, which is then dead (NaN)
             nb[dst] = np.logaddexp(nb[dst], table.take(src))
             table.put(src, np.nan)
-        col0 = table[:, BLANK]
-        blanks, nbs = col0.tolist(), nb.tolist()
-        np.logaddexp(col0, nb, out=col0)
-        # keep all tied with the W-th largest live mass; the sort breaks ties.
-        # NaN partitions to the end and compares False, so dead entries never rank
+        blank = table[:, BLANK].copy()
+        np.logaddexp(blank, nb, out=table[:, BLANK])
+        # keep every live entry at or above the W-th largest live mass. NaN
+        # partitions to the end and compares False, so dead entries never count
         mass = table.ravel()
         kth = max(mass.size - src.size - W, 0)
-        live = (mass >= np.partition(mass, kth)[kth]).nonzero()[0]
-        ranked = sorted((-m, prefixes[c // K] + (c % K,) if c % K else prefixes[c // K], c)
-                        for c, m in zip(live.tolist(), mass[live].tolist()))[:W]
-        old_nodes, old_lasts = nodes, lasts
-        nodes, prefixes, lasts, masses, pbs, pnbs = [], [], [], [], [], []
-        for m, p, c in ranked:
+        cut = np.partition(mass, kth)[kth]
+        keep = (mass >= cut).nonzero()[0].tolist()
+        if len(keep) > W:  # ties at the cut: the smallest prefixes among them
+            above = (mass > cut).nonzero()[0].tolist()
+            prefixes = [_prefix(node, up, sym) for node in nodes]
+            tied = sorted((prefixes[c // K] + (c % K,) if c % K else prefixes[c // K], c)
+                          for c in (mass == cut).nonzero()[0].tolist())
+            keep = sorted(above + [c for _, c in tied[: W - len(above)]])
+        if keep == col0:  # the same prefixes, none extended: only the masses change
+            total, pb, pnb = table[:, BLANK], blank, nb
+            continue
+        blanks, nbs, masses = blank.tolist(), nb.tolist(), mass.take(keep)
+        old, nodes, pbs, pnbs = nodes, [], [], []
+        for c, m in zip(keep, masses.tolist()):
             i, k = divmod(c, K)
-            node = old_nodes[i]
+            node = old[i]
             if k:  # an extension: its node is made the first time it is kept
                 node = trie.setdefault(node * K + k, len(up))
                 if node == len(up):
-                    up.append(old_nodes[i])
+                    up.append(old[i])
+                    sym.append(k)
             nodes.append(node)
-            prefixes.append(p)
-            lasts.append(k or old_lasts[i])
-            masses.append(-m)
             pbs.append(NEG_INF if k else blanks[i])
-            pnbs.append(-m if k else nbs[i])
+            pnbs.append(m if k else nbs[i])
         pos = dict(zip(nodes, range(len(nodes))))
         src, dst = [], []
         for j, node in enumerate(nodes):
             jp = pos.get(up[node])
             if jp is not None:
-                src.append(jp * K + lasts[j])
+                src.append(jp * K + sym[node])
                 dst.append(j)
+        col0 = list(range(0, len(nodes) * K, K))
         src, dst = np.array(src, dtype=int), np.array(dst, dtype=int)
-        total, pb, pnb, last = np.array(masses), np.array(pbs), np.array(pnbs), np.array(lasts)
-    return DecodedHypothesis(labels=prefixes[0], log_prob=float(total[0]))
+        last = np.array([sym[node] for node in nodes])
+        total, pb, pnb, rep = masses, np.array(pbs), np.array(pnbs), np.array(col0) + last
+    totals = total.tolist()
+    best = max(totals)
+    labels, j = min((_prefix(nodes[j], up, sym), j) for j, m in enumerate(totals) if m == best)
+    return DecodedHypothesis(labels=labels, log_prob=totals[j])
 
 
 def decode(logp, cfg=DecodeConfig()):

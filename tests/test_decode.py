@@ -146,6 +146,18 @@ class TestBeam:
             u = rng.standard_normal((T, 6))
             u[np.arange(T), peak] += rng.uniform(1.0, 9.0, T)
             assert_matches_reference(u - np.logaddexp.reduce(u, axis=1, keepdims=True), 20)
+        # a model's outputs: seven labels or fewer between long runs of confident
+        # blanks, where the kept prefixes often stay the same from frame to frame
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            T = int(rng.integers(60, 111))
+            peak = np.zeros(T, dtype=int)
+            n_labels = int(rng.integers(1, 8))
+            peak[rng.choice(T, n_labels, replace=False)] = rng.integers(1, 6, n_labels)
+            u = rng.standard_normal((T, 6))
+            margin = np.where(peak == 0, rng.uniform(5.0, 14.0, T), rng.uniform(1.0, 9.0, T))
+            u[np.arange(T), peak] += margin
+            assert_matches_reference(u - np.logaddexp.reduce(u, axis=1, keepdims=True), 20)
 
     @pytest.mark.parametrize("rows", [
         # (1,) with (1, 2), then (1, 2) with (1, 2, 1), kept together at W=2
@@ -158,6 +170,23 @@ class TestBeam:
         # frame folds the parent's extension into the child's non-blank mass
         for W in (2, 3, 20):
             assert_matches_reference(np.log(np.array(rows)), W)
+
+    @pytest.mark.parametrize("end", ["label", "minus-inf"])
+    @pytest.mark.parametrize("W", [2, 3, 20])
+    def test_kept_set_holds_through_blank_runs(self, W, end):
+        # 30 blank-dominated frames keep the same prefixes, none extended, so only
+        # their masses change; a label frame then changes the set, and a second
+        # run holds the new one. The last frames give one more label, or give
+        # every symbol -inf, which ties all kept prefixes at the cut
+        blanks = [[0.96, 0.02, 0.01, 0.01]] * 30
+        rows = [[0.1, 0.8, 0.05, 0.05]] + blanks + [[0.1, 0.05, 0.8, 0.05]] + blanks
+        logp = np.log(np.array(rows))
+        if end == "label":
+            logp = np.vstack([logp, np.log([[0.1, 0.05, 0.05, 0.8]])])
+        else:
+            logp = np.vstack([logp, np.full((2, 4), -np.inf)])
+        for T in (1, 31, 32, len(logp)):
+            assert_matches_reference(logp[:T], W)
 
     def test_invalid_width(self):
         with pytest.raises(ConfigError):
