@@ -24,7 +24,7 @@ from .blas import pin_one_thread
 from .decode import DecodeConfig, decode
 from .errors import ConfigError, InvalidInput, InvalidLabel, MhctcError, read_text
 from .features import FeatureConfig
-from .model import TrainConfig, load_checkpoint, save_checkpoint
+from .model import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
 from .pipeline import (
     CONDITION_TARGETS,
     CONDITIONS,
@@ -75,8 +75,8 @@ def build_parser():
     p.add_argument("--corpus", required=True, help="manifest.json of a corpus")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--features", choices=("fbank", "ste"), default="fbank")
-    p.add_argument("--n-bands", type=int, default=plan.n_bands_fbank)
-    p.add_argument("--context", type=int, default=plan.context)
+    p.add_argument("--n-bands", type=int, help="default: the front end's own band count")
+    p.add_argument("--context", type=int, default=ModelConfig.context)
     p.add_argument("--hidden", type=int, default=plan.hidden)
     _config_args(p, asdict(plan.train_cfg("train", seed=0)))
 

@@ -20,16 +20,19 @@ FRAME_MS = 25.0
 HOP_MS = 10.0
 FMIN_HZ = 100.0  # lowest mel band edge
 ENV_CUTOFF_HZ = 30.0  # STE envelope low-pass
+BANDS = {"fbank": 16, "ste": 12}  # each front end's band count: systems A and B of the grid
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
     kind: str = "fbank"
-    n_bands: int = 12
+    n_bands: int = None  # None: the front end's own count, BANDS[kind]
 
     def __post_init__(self):
-        if self.kind not in ("fbank", "ste"):
+        if self.kind not in BANDS:
             raise ConfigError("feature kind must be 'fbank' or 'ste'")
+        if self.n_bands is None:
+            object.__setattr__(self, "n_bands", BANDS[self.kind])
         check_ints(1, n_bands=self.n_bands)
 
     @property

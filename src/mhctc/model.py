@@ -60,7 +60,7 @@ class ModelParams:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.05
+    learning_rate: float = 0.02
     epochs: int = 10
     batch_size: int = 4
     seed: int = 0

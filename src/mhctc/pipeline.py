@@ -64,6 +64,8 @@ CONDITION_TARGETS = {
     "supervised-all": ("truth",),
 }
 CONDITIONS = tuple(CONDITION_TARGETS)
+TRAIN_NOISE_KIND = "white"  # multi-condition training noise, mismatched to the adaptation's
+ADAPT_LEARNING_RATE = 0.01  # the other stages train at TrainConfig's rate
 
 
 @dataclass
@@ -83,23 +85,15 @@ class ExperimentPlan:
     split_sizes: tuple = (30, 61, 140)
     len_range: tuple = (4, 10)
     noise_kind: str = "babble"
-    train_noise_kind: str = "white"  # multi-condition training noise (mismatched)
     snr_db: float = 6.0
     snr_spread_db: float = 5.0
     freq_jitter: float = 0.08
     amp_jitter: float = 0.3
-    n_bands_fbank: int = 16
-    n_bands_ste: int = 12
-    context: int = 4
-    hidden: int = 128
-    learning_rate: float = 0.02
-    adapt_learning_rate: float = 0.01
+    hidden: int = ModelConfig.hidden
     train_epochs: int = 14
     finetune_epochs: int = 20
     adapt_epochs: int = 16
-    batch_size: int = 4
-    grad_clip: float = 5.0
-    beam_width: int = 20
+    beam_width: int = DecodeConfig.beam_width
 
     def __post_init__(self):
         for name in ("scenarios", "conditions", "seeds", "split_sizes", "len_range"):
@@ -132,29 +126,20 @@ class ExperimentPlan:
             self.train_cfg(stage, seed=0)
         alphabet = LabelAlphabet(tuple(self.alphabet))
         DecodeConfig(beam_width=self.beam_width)
-        for kind in ("fbank", "ste"):
-            ModelConfig(feat_dim=self.feature_cfg(kind).dim, n_outputs=alphabet.n_outputs,
-                        context=self.context, hidden=self.hidden)
-        for noise_kind in (self.noise_kind, self.train_noise_kind):
-            self.synth_cfg(noise_kind, seed=0)
+        ModelConfig(feat_dim=FeatureConfig().dim, n_outputs=alphabet.n_outputs,
+                    hidden=self.hidden)
+        self.synth_cfg(self.noise_kind, seed=0)
 
     def train_cfg(self, stage, seed):
         """TrainConfig of one training stage: "train", "finetune" or "adapt"."""
-        return TrainConfig(
-            learning_rate=self.adapt_learning_rate if stage == "adapt" else self.learning_rate,
-            epochs=getattr(self, f"{stage}_epochs"), batch_size=self.batch_size, seed=seed,
-            grad_clip=self.grad_clip,
-        )
+        rate = ADAPT_LEARNING_RATE if stage == "adapt" else TrainConfig.learning_rate
+        return TrainConfig(learning_rate=rate, epochs=getattr(self, f"{stage}_epochs"), seed=seed)
 
     def synth_cfg(self, noise_kind, seed):
         """SynthConfig of a corpus with the plan's SNR and jitter ("none": no noise)."""
         return SynthConfig(alphabet=LabelAlphabet(tuple(self.alphabet)), noise_kind=noise_kind,
                            snr_db=self.snr_db, snr_spread_db=self.snr_spread_db,
                            freq_jitter=self.freq_jitter, amp_jitter=self.amp_jitter, seed=seed)
-
-    def feature_cfg(self, kind):
-        n_bands = self.n_bands_fbank if kind == "fbank" else self.n_bands_ste
-        return FeatureConfig(kind=kind, n_bands=n_bands)
 
     def config_hash(self):
         blob = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -296,13 +281,13 @@ def _build_systems(plan, scenario, seed, alphabet, cache):
     else:
         half = plan.n_train // 2
         clean = synth_corpus(base, half, plan.len_range, id_prefix="trc")
-        noisy = synth_corpus(plan.synth_cfg(plan.train_noise_kind, seed * 1000 + 2),
+        noisy = synth_corpus(plan.synth_cfg(TRAIN_NOISE_KIND, seed * 1000 + 2),
                              plan.n_train - half, plan.len_range, id_prefix="trn")
         train_corpus = clean + noisy
 
     def build(i):
         name, kind = (("sysA", "fbank"), ("sysB", "ste"))[i]
-        system = init_system(name, plan.feature_cfg(kind), alphabet.n_outputs, plan.context,
+        system = init_system(name, FeatureConfig(kind), alphabet.n_outputs, ModelConfig.context,
                              plan.hidden, seed * 10 + i)
         data = labeled_data(system, train_corpus, cache)
         return train_system(system, data, plan.train_cfg("train", seed),

@@ -85,11 +85,12 @@ def test_flag_defaults_are_the_grids():
     decode = parse(["decode", "--ckpt", "c", "--corpus", "c", "--out", "o"])
     got = [getattr(train, k) for k in ("learning_rate", "epochs", "batch_size", "grad_clip",
                                        "seed", "n_bands", "context", "hidden")]
-    assert got == [0.02, 14, 4, 5.0, 0, 16, 4, 128]
+    # no --n-bands: the chosen front end's own count (test_train_band_count_follows_the_front_end)
+    assert got == [0.02, 14, 4, 5.0, 0, None, 4, 128]
     # adapt trains with the grid's adaptation values, not train's
     assert (adapt.learning_rate, adapt.epochs) == (0.01, 16)
     plan = ExperimentPlan()
-    assert (adapt.learning_rate, adapt.epochs) == (plan.adapt_learning_rate, plan.adapt_epochs)
+    assert (adapt.learning_rate, adapt.epochs) == (pipeline.ADAPT_LEARNING_RATE, plan.adapt_epochs)
     assert decode.beam_width == plan.beam_width == 20
 
 
@@ -107,15 +108,15 @@ def test_synth_flag_defaults_are_synth_configs_and_the_plans(tmp_path):
 
 def test_ste_checkpoint_decodes_with_ste_features(ws):
     params, _, fcfg = load_checkpoint(ws / "ste.ckpt")
-    assert fcfg == FeatureConfig(kind="ste", n_bands=16)
+    assert fcfg == FeatureConfig(kind="ste", n_bands=12)
     corpus, _ = load_corpus(ws / "unlab/manifest.json")
     cfg = DecodeConfig(beam_width=4)
     want = {u.id: list(beam_decode(forward(params, cmn(ste(u, fcfg))), cfg).labels)
             for u in corpus}
     assert json.loads((ws / "hypsB.json").read_text()) == want
-    # FBANK at 16 bands has the same dimension, so a checkpoint that did not
+    # FBANK at 12 bands has the same dimension, so a checkpoint that did not
     # record its front end would decode silently with different hypotheses
-    wrong = {u.id: list(beam_decode(forward(params, cmn(fbank(u, FeatureConfig(n_bands=16)))), cfg).labels)
+    wrong = {u.id: list(beam_decode(forward(params, cmn(fbank(u, FeatureConfig(n_bands=12)))), cfg).labels)
              for u in corpus}
     assert wrong != want
 
@@ -125,7 +126,7 @@ def test_adapt_each_condition_keeps_front_end(ws, condition):
     out = ws / f"{condition}.ckpt"
     assert adapt(ws, condition, out, **all_inputs(ws)) == EXIT_OK
     params, symbols, fcfg = load_checkpoint(out)
-    assert fcfg == FeatureConfig(kind="ste", n_bands=16)
+    assert fcfg == FeatureConfig(kind="ste", n_bands=12)
     assert symbols == tuple("abcde")
     if condition != "no-adapt":
         assert params.lineage[-1] == f"cli-adapt:{condition}:seed=3"
@@ -153,6 +154,18 @@ def test_score(ws, capsys):
     assert capsys.readouterr().out.startswith("WER ")
 
 
+def test_hypotheses_missing_reference_ids_is_a_config_error(ws, tmp_path, capsys):
+    hyps = json.loads((ws / "hypsA.json").read_text())
+    gone = sorted(hyps)[1:3]
+    (tmp_path / "partial.json").write_text(json.dumps({k: v for k, v in hyps.items()
+                                                       if k not in gone}))
+    assert run("score", "--ref", ws / "hypsA.json", "--hyp", tmp_path / "partial.json") == (
+        EXIT_CONFIG)
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: hypotheses missing for ids: {gone}\n"
+    assert not captured.out
+
+
 def test_zero_epochs_writes_unchanged_model(ws, tmp_path):
     out = tmp_path / "zero.ckpt"
     assert run("train", "--corpus", ws / "train/manifest.json", "--out", out,
@@ -166,13 +179,24 @@ def test_zero_epochs_writes_unchanged_model(ws, tmp_path):
         np.testing.assert_array_equal(second.tensors()[k], v)
 
 
-def rewrite_header(src, dst, edit):
-    data = src.read_bytes()
+def read_header(data):
+    """A checkpoint's parsed header."""
+    return json.loads(data[16 : 16 + int.from_bytes(data[8:16], "little")])
+
+
+def replace_header(data, blob):
+    """A checkpoint's bytes with ``blob`` in place of its header."""
     end = 16 + int.from_bytes(data[8:16], "little")
-    header = json.loads(data[16:end])
-    edit(header)
-    blob = json.dumps(header, sort_keys=True).encode()
-    dst.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:])
+    return data[:8] + len(blob).to_bytes(8, "little") + blob + data[end:]
+
+
+def header_edit(edit):
+    """Damage to a checkpoint: ``edit`` applied to its parsed header."""
+    def damage(data):
+        header = read_header(data)
+        edit(header)
+        return replace_header(data, json.dumps(header, sort_keys=True).encode())
+    return damage
 
 
 def as_v1(header):
@@ -187,29 +211,35 @@ def as_v2(header):
                               env_cutoff_hz=30.0)
 
 
+# damage to a checkpoint's bytes and the message it must be refused with
 BAD_CHECKPOINTS = {
-    "truncated": (None, "truncated"),
-    "v1": (as_v1, "version 1 is not supported"),
-    "v2": (as_v2, "version 2 is not supported"),
-    "extra-feature-key": (lambda h: h["features"].update(fmin=80.0),
+    "truncated": (lambda data: data[:3000], "truncated"),
+    "v1": (header_edit(as_v1), "version 1 is not supported"),
+    "v2": (header_edit(as_v2), "version 2 is not supported"),
+    "extra-feature-key": (header_edit(lambda h: h["features"].update(fmin=80.0)),
                           "bad checkpoint config: .*'fmin'"),
-    "alphabet-size": (lambda h: h.update(alphabet=["a", "b"]),
+    "alphabet-size": (header_edit(lambda h: h.update(alphabet=["a", "b"])),
                       "an alphabet of 2 symbols needs 3 outputs, the model has 6"),
-    "unknown-key": (lambda h: h.update(extra=1), "unknown keys \\['extra'\\]"),
-    "missing-key": (lambda h: h.pop("lineage"), "missing keys \\['lineage'\\]"),
-    "dim-mismatch": (lambda h: h["features"].update(n_bands=4), "12-dim"),
+    "unknown-key": (header_edit(lambda h: h.update(extra=1)), "unknown keys \\['extra'\\]"),
+    "missing-key": (header_edit(lambda h: h.pop("lineage")), "missing keys \\['lineage'\\]"),
+    "dim-mismatch": (header_edit(lambda h: h["features"].update(n_bands=4)), "12-dim"),
+    "wrong-magic": (lambda data: b"MHCTCKP0" + data[8:], "not a checkpoint file"),
+    "header-not-json": (lambda data: replace_header(data, b"{kind: ste}"),
+                        "unreadable checkpoint header"),
+    "header-list": (lambda data: replace_header(data, b"[3]"),
+                    "checkpoint header is not a JSON object"),
+    "alphabet-entry": (header_edit(lambda h: h["alphabet"].__setitem__(0, 1)),
+                       "checkpoint alphabet must be a list of strings"),
+    "trailing-bytes": (lambda data: data + bytes(5), "5 trailing bytes after the last tensor"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_CHECKPOINTS))
 @pytest.mark.parametrize("command", ["decode", "adapt"])
 def test_bad_checkpoint_is_a_config_error(ws, tmp_path, capsys, kind, command):
-    edit, message = BAD_CHECKPOINTS[kind]
+    damage, message = BAD_CHECKPOINTS[kind]
     bad = tmp_path / "bad.ckpt"
-    if edit is None:
-        bad.write_bytes((ws / "ste.ckpt").read_bytes()[:3000])
-    else:
-        rewrite_header(ws / "ste.ckpt", bad, edit)
+    bad.write_bytes(damage((ws / "ste.ckpt").read_bytes()))
     if command == "decode":
         code = run("decode", "--ckpt", bad, "--corpus", ws / "unlab/manifest.json",
                    "--out", tmp_path / "h.json")
@@ -219,6 +249,18 @@ def test_bad_checkpoint_is_a_config_error(ws, tmp_path, capsys, kind, command):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert re.search(message, err)
+
+
+@pytest.mark.parametrize("features,flags,want", [
+    ("ste", [], {"kind": "ste", "n_bands": 12}),
+    ("ste", ["--n-bands", 8], {"kind": "ste", "n_bands": 8}),
+    ("fbank", [], {"kind": "fbank", "n_bands": 16}),
+], ids=["ste", "ste-8-bands", "fbank"])
+def test_train_band_count_follows_the_front_end(ws, tmp_path, features, flags, want):
+    out = tmp_path / "m.ckpt"
+    assert run("train", "--corpus", ws / "train/manifest.json", "--features", features, *flags,
+               "--out", out, "--hidden", 8, "--epochs", 0) == EXIT_OK
+    assert read_header(out.read_bytes())["features"] == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -452,11 +494,24 @@ def test_duplicate_utterance_id_is_a_config_error(ws, tmp_path, capsys):
 
 
 def test_bad_plan_fails_before_the_grid(tmp_path, capsys):
-    plan = {"batch_size": 0, "seeds": [0], "n_train": 4, "split_sizes": [1, 1, 1]}
+    plan = {"hidden": 0, "seeds": [0], "n_train": 4, "split_sizes": [1, 1, 1]}
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
     assert code == EXIT_CONFIG
-    assert "batch_size must be a positive integer" in capsys.readouterr().err
+    assert "hidden must be a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/run-*"))
+
+
+@pytest.mark.parametrize("config,message", [
+    ([{"seeds": [0]}], "experiment config must be a JSON object\n"),
+    # a field ExperimentPlan no longer has is refused like any unknown key
+    ({"learning_rate": 0.05}, "bad experiment config: .*'learning_rate'\n"),
+], ids=["list", "unknown-field"])
+def test_malformed_experiment_config_is_a_config_error(tmp_path, capsys, config, message):
+    (tmp_path / "plan.json").write_text(json.dumps(config))
+    code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
+    assert code == EXIT_CONFIG
+    assert re.fullmatch("configuration error: " + message, capsys.readouterr().err)
     assert not list(tmp_path.glob("out/run-*"))
 
 

@@ -192,6 +192,10 @@ class TestBeam:
         with pytest.raises(ConfigError):
             DecodeConfig(beam_width=0)
 
+    def test_invalid_mode(self):
+        with pytest.raises(ConfigError, match="mode must be 'greedy' or 'beam'"):
+            DecodeConfig(mode="viterbi")
+
     def test_dispatch(self):
         logp = peaked_logp([1, 2], 3)
         assert decode(logp, DecodeConfig(mode="greedy")).labels == (1, 2)

@@ -116,8 +116,8 @@ class TestFbank:
 
     def test_dimension_contract(self):
         u = tone(800.0)
-        assert fbank(u, FeatureConfig(kind="fbank")).shape[1] == 36
-        assert FeatureConfig(kind="fbank").dim == 36
+        assert fbank(u, FeatureConfig(kind="fbank")).shape[1] == 48
+        assert FeatureConfig(kind="fbank").dim == 48
 
 
 class TestSte:
@@ -134,7 +134,7 @@ class TestSte:
 
     def test_differs_from_fbank(self):
         u = tone(1200.0)
-        a = fbank(u, FeatureConfig(kind="fbank"))
+        a = fbank(u, FeatureConfig(kind="fbank", n_bands=12))
         b = ste(u, FeatureConfig(kind="ste"))
         assert a.shape == b.shape
         assert not np.allclose(a, b)
@@ -185,6 +185,14 @@ def test_fbank_filterbank_is_built_once_per_front_end():
 
 
 class TestFeatureCache:
+    def test_each_front_end_owns_its_band_count(self):
+        # systems A and B of the grid: FBANK at 16 bands, STE at 12
+        assert [FeatureConfig(kind=k).n_bands for k in ("fbank", "ste")] == [16, 12]
+        assert FeatureConfig() == FeatureConfig(kind="fbank", n_bands=16)
+        assert FeatureConfig(kind="ste", n_bands=8).n_bands == 8
+        with pytest.raises(ConfigError, match="n_bands must be a positive integer"):
+            FeatureConfig(kind="ste", n_bands=0)
+
     def test_unknown_kind_rejected(self):
         # extract dispatches on the kind, so the config is where it is checked
         with pytest.raises(ConfigError, match="feature kind must be 'fbank' or 'ste'"):

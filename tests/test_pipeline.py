@@ -89,15 +89,15 @@ class TestPlan:
             ExperimentPlan(scenarios=("clean-train", "dirty-train"))
 
     @pytest.mark.parametrize("field,value", [
-        ("batch_size", 0),
-        ("learning_rate", -0.5),
-        ("grad_clip", None),
+        ("train_epochs", -1),
+        ("finetune_epochs", 2.5),
+        ("hidden", None),
         ("adapt_epochs", -1),
         ("n_train", 0),
         ("split_sizes", (1, 2)),
         ("seeds", (0, -1)),
         ("len_range", (5, 3)),
-        ("n_bands_ste", 0),
+        ("len_range", (0, 3)),
         ("hidden", 0),
         ("beam_width", 0),
         ("beam_width", 2.5),
@@ -108,7 +108,7 @@ class TestPlan:
         ("freq_jitter", "x"),
         ("freq_jitter", -0.1),
         ("amp_jitter", float("inf")),
-        ("train_noise_kind", "pink"),
+        ("noise_kind", "pink"),
         ("alphabet", "abcdefghijklmnop"),
         ("alphabet", ""),
         ("seeds", ()),
@@ -312,7 +312,7 @@ class TestScenarioAndReport:
         assert ckpts == sorted(f"{c}.ckpt" for c in CONDITIONS)
         params, symbols, fcfg = load_checkpoint(tmp_path / "clean-train" / "seed0" / "mh-ctc.ckpt")
         assert symbols == ALPHA.symbols
-        assert fcfg == FeatureConfig(kind="fbank", n_bands=TINY.n_bands_fbank)
+        assert fcfg == FeatureConfig(kind="fbank", n_bands=16)
         assert params.lineage[-1] == "adapt:mh-ctc:seed=0"
 
     def test_hypotheses_persisted(self, tmp_path):
