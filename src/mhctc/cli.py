@@ -21,9 +21,9 @@ from pathlib import Path
 from .alphabet import LabelAlphabet
 from .audio import NOISE_KINDS, SynthConfig, load_corpus, save_corpus, synth_corpus
 from .blas import pin_one_thread
-from .decode import DecodeConfig, decode
+from .decode import DECODE_MODES, DecodeConfig, decode
 from .errors import ConfigError, InvalidInput, InvalidLabel, MhctcError, read_text
-from .features import FeatureConfig
+from .features import BANDS, FeatureConfig
 from .model import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
 from .pipeline import (
     CONDITION_TARGETS,
@@ -74,7 +74,7 @@ def build_parser():
     p = sub.add_parser("train", help="train an acoustic model")
     p.add_argument("--corpus", required=True, help="manifest.json of a corpus")
     p.add_argument("--out", required=True, help="output checkpoint path")
-    p.add_argument("--features", choices=("fbank", "ste"), default="fbank")
+    p.add_argument("--features", choices=tuple(BANDS), default=FeatureConfig.kind)
     p.add_argument("--n-bands", type=int, help="default: the front end's own band count")
     p.add_argument("--context", type=int, default=ModelConfig.context)
     p.add_argument("--hidden", type=int, default=plan.hidden)
@@ -94,7 +94,7 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True, help="manifest.json of a corpus")
     p.add_argument("--out", required=True, help="output hypothesis JSON")
-    p.add_argument("--mode", choices=("greedy", "beam"), default="beam")
+    p.add_argument("--mode", choices=DECODE_MODES, default=DecodeConfig.mode)
     p.add_argument("--beam-width", type=int, default=plan.beam_width)
 
     p = sub.add_parser("score", help="score hypotheses against references")
@@ -211,10 +211,12 @@ def cmd_experiment(args):
         overrides = json.loads(read_text(args.config))
         if not isinstance(overrides, dict):
             raise ConfigError("experiment config must be a JSON object")
-    try:
-        plan = ExperimentPlan(**overrides)
-    except TypeError as exc:  # a key that is not a plan field
-        raise ConfigError(f"bad experiment config: {exc}") from exc
+    names = [f.name for f in fields(ExperimentPlan)]
+    unknown = sorted(set(overrides) - set(names))
+    if unknown:
+        raise ConfigError(f"bad experiment config: a plan's fields are {', '.join(names)};"
+                          f" unknown: {', '.join(map(repr, unknown))}")
+    plan = ExperimentPlan(**overrides)
     report, run_dir = run_experiment(plan, out_dir=args.out)
     print(format_report(report))
     print(f"run directory: {run_dir}")

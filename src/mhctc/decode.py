@@ -14,6 +14,7 @@ from .ctc import collapse_path, ctc_loss  # noqa: F401 (perfbench/tracing.py reb
 from .errors import ConfigError, check_ints
 
 NEG_INF = -np.inf
+DECODE_MODES = ("greedy", "beam")
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,8 @@ class DecodeConfig:
 
     def __post_init__(self):
         check_ints(1, beam_width=self.beam_width)
-        if self.mode not in ("greedy", "beam"):
-            raise ConfigError("mode must be 'greedy' or 'beam'")
+        if self.mode not in DECODE_MODES:
+            raise ConfigError(f"mode must be {' or '.join(map(repr, DECODE_MODES))}")
 
 
 @dataclass(frozen=True)

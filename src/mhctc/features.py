@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, filtfilt
 
 from .errors import ConfigError, TooShort, check_ints
@@ -30,7 +31,7 @@ class FeatureConfig:
 
     def __post_init__(self):
         if self.kind not in BANDS:
-            raise ConfigError("feature kind must be 'fbank' or 'ste'")
+            raise ConfigError(f"feature kind must be {' or '.join(map(repr, BANDS))}")
         if self.n_bands is None:
             object.__setattr__(self, "n_bands", BANDS[self.kind])
         check_ints(1, n_bands=self.n_bands)
@@ -59,19 +60,17 @@ def mel_band_edges(n_bands, sample_rate):
 def _triangle_weights(flen, sample_rate, n_bands):
     """Read-only n_bands x (flen // 2 + 1) triangular filterbank over one frame's rfft bins."""
     freqs = np.fft.rfftfreq(flen, 1.0 / sample_rate)
-    edges = mel_band_edges(n_bands, sample_rate)
-    weights = np.zeros((n_bands, freqs.size))
-    for k in range(n_bands):
-        lo, ctr, hi = edges[k], edges[k + 1], edges[k + 2]
-        up = (freqs >= lo) & (freqs < ctr)
-        down = (freqs >= ctr) & (freqs < hi)
-        weights[k, up] = (freqs[up] - lo) / max(ctr - lo, 1e-12)
-        weights[k, down] = (hi - freqs[down]) / max(hi - ctr, 1e-12)
+    edges = mel_band_edges(n_bands, sample_rate)[:, None]
+    lo, ctr, hi = edges[:-2], edges[1:-1], edges[2:]
+    rise = (freqs - lo) / np.maximum(ctr - lo, 1e-12)
+    fall = (hi - freqs) / np.maximum(hi - ctr, 1e-12)
+    weights = np.maximum(np.minimum(rise, fall), 0.0)
     weights.flags.writeable = False
     return weights
 
 
-def _framing(n_samples, sample_rate):
+def _frames(x, sample_rate):
+    """Strided view [..., n_frames, flen] of the 25 ms frames, 10 ms apart, along x's last axis."""
     # the one rate check: above 2 * FMIN_HZ, the hop also spans at least
     # 2 samples and ENV_CUTOFF_HZ lies below Nyquist
     if sample_rate <= 2 * FMIN_HZ:
@@ -79,10 +78,9 @@ def _framing(n_samples, sample_rate):
                           " twice the lowest band edge")
     flen = int(round(FRAME_MS * sample_rate / 1000.0))
     hop = int(round(HOP_MS * sample_rate / 1000.0))
-    if n_samples < flen:
-        raise TooShort(f"waveform of {n_samples} samples < one {flen}-sample frame")
-    n_frames = (n_samples - flen) // hop + 1
-    return flen, hop, n_frames
+    if x.shape[-1] < flen:
+        raise TooShort(f"waveform of {x.shape[-1]} samples < one {flen}-sample frame")
+    return sliding_window_view(x, flen, axis=-1)[..., ::hop, :]
 
 
 def compute_deltas(static, window=2):
@@ -106,13 +104,10 @@ def _append_deltas(static):
 
 def fbank(utt, cfg):
     """Log-mel filterbank features for one utterance."""
-    x = np.asarray(utt.waveform, dtype=np.float64)
-    sr = utt.sample_rate
-    flen, hop, n_frames = _framing(x.size, sr)
-    idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = x[idx] * np.hanning(flen)
-    spec = np.abs(np.fft.rfft(frames, axis=1))
-    fb = _triangle_weights(flen, sr, cfg.n_bands)
+    frames = _frames(np.asarray(utt.waveform, dtype=np.float64), utt.sample_rate)
+    flen = frames.shape[-1]
+    spec = np.abs(np.fft.rfft(frames * np.hanning(flen), axis=1))
+    fb = _triangle_weights(flen, utt.sample_rate, cfg.n_bands)
     static = np.log(np.maximum(spec @ fb.T, LOG_FLOOR_VALUE))
     return _append_deltas(static)
 
@@ -123,13 +118,9 @@ def _gaussian_weights(freqs, edges):
     Gaussian response avoids the dead zones of hard-edged masks, so band
     outputs vary smoothly as a tone moves in frequency.
     """
-    n_bands = len(edges) - 2
-    weights = np.zeros((n_bands, freqs.size))
-    for k in range(n_bands):
-        ctr = edges[k + 1]
-        sigma = max((edges[k + 2] - edges[k]) / 4.0, 1e-6)
-        weights[k] = np.exp(-0.5 * ((freqs - ctr) / sigma) ** 2)
-    return weights
+    edges = edges[:, None]
+    sigma = np.maximum((edges[2:] - edges[:-2]) / 4.0, 1e-6)
+    return np.exp(-0.5 * ((freqs - edges[1:-1]) / sigma) ** 2)
 
 
 @lru_cache(maxsize=8)
@@ -141,14 +132,16 @@ def _envelope_filter(sample_rate):
 def ste(utt, cfg):
     """Subband temporal envelope features for one utterance.
 
-    Each row of the batched irfft and filtfilt runs the same 1-D
-    computation as a call on that band alone, so the result is
-    bit-identical to a per-band loop.  The framed mean stays per band:
-    a 3-D mean sums in another order and changes the last bits.
+    Byte-identical to one irfft, filtfilt and framed mean per band. Each
+    row of the batched irfft and filtfilt runs the same 1-D computation
+    as a call on that row alone. The strided frame view keeps each
+    frame's samples adjacent on its last axis, so the mean sums every
+    frame pairwise, as a mean of that frame alone does; a gathered copy
+    ``env[:, idx]`` puts the band axis innermost and sums in another order.
     """
     x = np.asarray(utt.waveform, dtype=np.float64)
     sr = utt.sample_rate
-    flen, hop, n_frames = _framing(x.size, sr)
+    _frames(x, sr)  # the rate and length checks, before the filter is designed
     b, a = _envelope_filter(sr)
     padlen = 3 * max(len(a), len(b))  # filtfilt's edge padding: one frame's length at ~620 Hz
     if x.size <= padlen:
@@ -160,11 +153,8 @@ def ste(utt, cfg):
     # filtfilt makes its three n_bands x n_samples copies
     bands = np.abs(np.fft.irfft(spec * _gaussian_weights(freqs, edges), x.size, axis=1))
     env = filtfilt(b, a, bands, axis=1)
-    static = np.zeros((n_frames, cfg.n_bands))
-    idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
-    for k in range(cfg.n_bands):
-        static[:, k] = np.log(np.maximum(env[k][idx].mean(axis=1), LOG_FLOOR_VALUE))
-    return _append_deltas(static)
+    static = np.log(np.maximum(_frames(env, sr).mean(axis=-1), LOG_FLOOR_VALUE))
+    return _append_deltas(static.T)
 
 
 def extract(utt, cfg):

@@ -105,10 +105,12 @@ class ExperimentPlan:
             for value in getattr(self, name + "s"):
                 if value not in known:
                     raise ConfigError(f"unknown {name} {value!r}")
-        # build every config the plan derives once, so that a bad value
-        # fails here, before any synthesis, and not inside every grid cell
+        # check every field and build the configs the plan derives once, so that
+        # a bad value fails here, before any synthesis, and not inside every grid cell
         check_ints(1, n_train=self.n_train, len_range=self.len_range)
-        check_ints(0, split_sizes=self.split_sizes, seeds=self.seeds)
+        check_ints(0, split_sizes=self.split_sizes, seeds=self.seeds,
+                   train_epochs=self.train_epochs, finetune_epochs=self.finetune_epochs,
+                   adapt_epochs=self.adapt_epochs)
         for name in ("scenarios", "conditions", "seeds"):
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
@@ -122,8 +124,8 @@ class ExperimentPlan:
         if self.split_sizes[1] < 1:  # else every pseudo-label condition is supervised-labeled
             raise ConfigError(f"split_sizes needs an unlabeled size of at least 1,"
                               f" got {self.split_sizes!r}")
-        for stage in ("train", "finetune", "adapt"):
-            self.train_cfg(stage, seed=0)
+        if not isinstance(self.alphabet, str):
+            raise ConfigError(f"alphabet must be a string of symbols, got {self.alphabet!r}")
         alphabet = LabelAlphabet(tuple(self.alphabet))
         DecodeConfig(beam_width=self.beam_width)
         ModelConfig(feat_dim=FeatureConfig().dim, n_outputs=alphabet.n_outputs,

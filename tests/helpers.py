@@ -11,10 +11,10 @@ from mhctc.decode import DecodeConfig, DecodedHypothesis
 from mhctc.errors import InfeasibleAlignment, MhctcError, ShapeError
 from mhctc.features import (
     ENV_CUTOFF_HZ,
+    FRAME_MS,
+    HOP_MS,
     LOG_FLOOR_VALUE,
     _append_deltas,
-    _framing,
-    _gaussian_weights,
     mel_band_edges,
 )
 from mhctc.model import _backward_from, _check_features, _forward_activations
@@ -186,21 +186,67 @@ def beam_decode_reference(logp, cfg=DecodeConfig()):
     return DecodedHypothesis(labels=best, log_prob=float(np.logaddexp(pb, pnb)))
 
 
+def frame_index(n_samples, sample_rate):
+    """One row of sample indices per 25 ms frame, 10 ms apart."""
+    flen = int(round(FRAME_MS * sample_rate / 1000.0))
+    hop = int(round(HOP_MS * sample_rate / 1000.0))
+    n_frames = (n_samples - flen) // hop + 1
+    return np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
+
+
+def triangle_weights_reference(flen, sample_rate, n_bands):
+    """One band at a time: the rising then the falling edge of each mel triangle."""
+    freqs = np.fft.rfftfreq(flen, 1.0 / sample_rate)
+    edges = mel_band_edges(n_bands, sample_rate)
+    weights = np.zeros((n_bands, freqs.size))
+    for k in range(n_bands):
+        lo, ctr, hi = edges[k], edges[k + 1], edges[k + 2]
+        up = (freqs >= lo) & (freqs < ctr)
+        down = (freqs >= ctr) & (freqs < hi)
+        weights[k, up] = (freqs[up] - lo) / max(ctr - lo, 1e-12)
+        weights[k, down] = (hi - freqs[down]) / max(hi - ctr, 1e-12)
+    return weights
+
+
+def gaussian_weights_reference(freqs, edges):
+    """One band at a time: a Gaussian at each band center, a quarter of its span wide."""
+    n_bands = len(edges) - 2
+    weights = np.zeros((n_bands, freqs.size))
+    for k in range(n_bands):
+        sigma = max((edges[k + 2] - edges[k]) / 4.0, 1e-6)
+        weights[k] = np.exp(-0.5 * ((freqs - edges[k + 1]) / sigma) ** 2)
+    return weights
+
+
+def fbank_reference(utt, cfg):
+    """FBANK from an index-matrix gather of the frames and a per-band filterbank.
+
+    Reference for ``mhctc.features.fbank``, which must return
+    byte-identical features.
+    """
+    x = np.asarray(utt.waveform, dtype=np.float64)
+    sr = utt.sample_rate
+    idx = frame_index(x.size, sr)
+    flen = idx.shape[1]
+    spec = np.abs(np.fft.rfft(x[idx] * np.hanning(flen), axis=1))
+    fb = triangle_weights_reference(flen, sr, cfg.n_bands)
+    return _append_deltas(np.log(np.maximum(spec @ fb.T, LOG_FLOOR_VALUE)))
+
+
 def ste_reference(utt, cfg):
-    """Per-band STE: one irfft and one filtfilt per band.
+    """Per-band STE: one irfft, one filtfilt and one gathered framed mean per band.
 
     Reference for the batched ``mhctc.features.ste``, which must return
     byte-identical features.
     """
     x = np.asarray(utt.waveform, dtype=np.float64)
     sr = utt.sample_rate
-    flen, hop, n_frames = _framing(x.size, sr)
+    idx = frame_index(x.size, sr)
     spec = np.fft.rfft(x)
     freqs = np.fft.rfftfreq(x.size, 1.0 / sr)
-    masks = _gaussian_weights(freqs, mel_band_edges(cfg.n_bands, sr))
+    masks = gaussian_weights_reference(freqs, mel_band_edges(cfg.n_bands, sr))
     b, a = butter(4, ENV_CUTOFF_HZ / (sr / 2.0))
-    static = np.zeros((n_frames, cfg.n_bands))
-    idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
+    static = np.zeros((idx.shape[0], cfg.n_bands))
     for k in range(cfg.n_bands):
         band = np.fft.irfft(spec * masks[k], x.size)
         env = filtfilt(b, a, np.abs(band))

@@ -92,6 +92,7 @@ def test_flag_defaults_are_the_grids():
     plan = ExperimentPlan()
     assert (adapt.learning_rate, adapt.epochs) == (pipeline.ADAPT_LEARNING_RATE, plan.adapt_epochs)
     assert decode.beam_width == plan.beam_width == 20
+    assert (train.features, decode.mode) == (FeatureConfig.kind, DecodeConfig.mode)
 
 
 def test_synth_flag_defaults_are_synth_configs_and_the_plans(tmp_path):
@@ -506,7 +507,12 @@ def test_bad_plan_fails_before_the_grid(tmp_path, capsys):
     ([{"seeds": [0]}], "experiment config must be a JSON object\n"),
     # a field ExperimentPlan no longer has is refused like any unknown key
     ({"learning_rate": 0.05}, "bad experiment config: .*'learning_rate'\n"),
-], ids=["list", "unknown-field"])
+    # every unknown key is named, after the fields a plan has
+    ({"seeds": [0], "learning_rate": 0.05, "batch_size": 4},
+     "bad experiment config: a plan's fields are scenarios, conditions, seeds, .*, beam_width;"
+     " unknown: 'batch_size', 'learning_rate'\n"),
+    ({"alphabet": 5}, "alphabet must be a string of symbols, got 5\n"),
+], ids=["list", "unknown-field", "unknown-fields", "alphabet-not-a-string"])
 def test_malformed_experiment_config_is_a_config_error(tmp_path, capsys, config, message):
     (tmp_path / "plan.json").write_text(json.dumps(config))
     code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
@@ -526,6 +532,8 @@ def test_malformed_experiment_config_is_a_config_error(tmp_path, capsys, config,
     ("scenarios", "clean-train", "scenarios must be a list, got 'clean-train'"),
     ("split_sizes", [1, 1, 0], "split_sizes must end in a test size of at least 1"),
     ("split_sizes", [1, 0, 1], "split_sizes needs an unlabeled size of at least 1"),
+    ("train_epochs", -1, "train_epochs must be a non-negative integer, got -1"),
+    ("finetune_epochs", 2.5, "finetune_epochs must be a non-negative integer, got 2.5"),
 ])
 def test_bad_plan_value_fails_before_the_grid(tmp_path, capsys, field, value, message):
     plan = {"seeds": [0], "n_train": 4, "split_sizes": [1, 1, 1], field: value}

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from helpers import mel_center_frequencies, ste_reference
+from helpers import (
+    fbank_reference,
+    mel_center_frequencies,
+    ste_reference,
+    triangle_weights_reference,
+)
 
 from mhctc.alphabet import LabelAlphabet
 from mhctc.audio import (
@@ -147,30 +152,42 @@ class TestSte:
             assert fbank(u, cfg_f).shape[0] == ste(u, cfg_s).shape[0]
 
 
-def ste_cases():
-    """Seeded utterances for the batched-STE identity test.
+@pytest.fixture(scope="module")
+def reference_cases():
+    """Seeded utterances for the front ends' identity tests.
 
-    Every noise kind, plus white-noise waveforms whose lengths take
-    pocketfft's slow path (a prime, and 8,716 = 4 * 2,179) and one of
-    exactly one 200-sample frame.
+    Every noise kind at 8 kHz, plus white-noise waveforms at 8 and 16 kHz
+    whose lengths take pocketfft's slow paths (the primes 4,099 and 6,337,
+    which it transforms by Bluestein's algorithm, and 8,716 = 4 * 2,179)
+    and one of exactly one 25 ms frame.
     """
     utts = [u for kind in NOISE_KINDS
             for u in synth_corpus(SynthConfig(alphabet=ALPHABET, noise_kind=kind, seed=7), 2,
                                   (4, 10))]
     rng = np.random.default_rng(9)
-    for n in (4099, 8716, 200):
-        utts.append(Utterance(id=f"n{n}", waveform=0.3 * rng.standard_normal(n),
-                              labels=(), sample_rate=8000, condition="noise"))
+    for sr in (8000, 16000):
+        for n in (4099, 8716, sr // 40, 6337):
+            utts.append(Utterance(id=f"n{n}-{sr}", waveform=0.3 * rng.standard_normal(n),
+                                  labels=(), sample_rate=sr, condition="noise"))
     return utts
 
 
-@pytest.mark.parametrize("cfg", [
-    FeatureConfig(kind="ste"),
-    FeatureConfig(kind="ste", n_bands=1),
-], ids=["12-bands", "1-band"])
-def test_ste_matches_per_band_reference(cfg):
-    for u in ste_cases():
+BAND_COUNTS = pytest.mark.parametrize("n_bands", [12, 1, 5, 16, 24],
+                                      ids=lambda n: f"{n}-band" + "s" * (n > 1))
+
+
+@BAND_COUNTS
+def test_ste_matches_per_band_reference(reference_cases, n_bands):
+    cfg = FeatureConfig(kind="ste", n_bands=n_bands)
+    for u in reference_cases:
         assert ste(u, cfg).tobytes() == ste_reference(u, cfg).tobytes(), u.id
+
+
+@BAND_COUNTS
+def test_fbank_matches_gathered_reference(reference_cases, n_bands):
+    cfg = FeatureConfig(kind="fbank", n_bands=n_bands)
+    for u in reference_cases:
+        assert fbank(u, cfg).tobytes() == fbank_reference(u, cfg).tobytes(), u.id
 
 
 def test_fbank_filterbank_is_built_once_per_front_end():
@@ -180,6 +197,7 @@ def test_fbank_filterbank_is_built_once_per_front_end():
     # one 25 ms frame at 8 kHz is 200 samples
     fb = _triangle_weights(200, 8000, 16)
     assert fb.shape == (16, 101) and not fb.flags.writeable
+    assert fb.tobytes() == triangle_weights_reference(200, 8000, 16).tobytes()
     assert _triangle_weights(200, 8000, 16) is fb
     assert fbank(u, cfg).tobytes() == first.tobytes()
 

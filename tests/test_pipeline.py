@@ -122,10 +122,12 @@ class TestPlan:
         ("split_sizes", 5),
         ("scenarios", "clean-train"),
         ("split_sizes", (1, 0, 1)),
+        ("alphabet", 5),
     ])
     def test_bad_value_rejected_at_construction(self, field, value):
-        # every config the plan derives is built up front, not inside a grid cell
-        with pytest.raises(ConfigError):
+        # every config the plan derives is built up front, not inside a grid cell,
+        # and the message names the plan's field, not the derived config's
+        with pytest.raises(ConfigError, match=field):
             ExperimentPlan(**{field: value})
 
     def test_list_fields_become_tuples(self):
