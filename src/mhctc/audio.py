@@ -39,7 +39,17 @@ class SynthConfig:
         check_reals(snr_db=self.snr_db)
         check_reals(0, snr_spread_db=self.snr_spread_db, freq_jitter=self.freq_jitter,
                     amp_jitter=self.amp_jitter)
-        symbol_band_centers(self.alphabet)  # raises if the alphabet does not fit
+        # 10 ** (snr / 10) within 1e+/-300 leaves mix_at_snr's products room to stay
+        # finite and non-zero: at -3083 dB its noise power overflows, at -3230 dB it divides by 0
+        if abs(self.snr_db) + self.snr_spread_db > 3000:
+            raise ConfigError(f"snr_db +/- snr_spread_db must lie within +/-3000 dB,"
+                              f" got {self.snr_db!r} +/- {self.snr_spread_db!r}")
+        if self.amp_jitter > 1:
+            raise ConfigError(f"amp_jitter must be at most 1, got {self.amp_jitter!r}")
+        top = symbol_band_centers(self.alphabet)[-1][1]  # raises if the alphabet does not fit
+        if self.freq_jitter >= 1 or top * (1 + self.freq_jitter) >= SAMPLE_RATE / 2:
+            raise ConfigError(f"freq_jitter must be below 1 and keep the highest tone ({top:g} Hz)"
+                              f" below {SAMPLE_RATE // 2} Hz, got {self.freq_jitter!r}")
 
 
 @dataclass(eq=False)  # hashed by identity: the feature cache keys on the utterance
@@ -213,13 +223,17 @@ def _read_pcm(path, sample_rate, where):
     try:
         with wave.open(str(path), "rb") as w:
             shape = (w.getnchannels(), 8 * w.getsampwidth(), w.getframerate())
-            pcm = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
-    except (OSError, EOFError, wave.Error) as exc:
-        raise ConfigError(f"{where}: cannot read WAV file {path}: {exc}") from exc
+            data = w.readframes(w.getnframes())
+    # the wave module raises a bare RuntimeError when a chunk size points past the file
+    except (OSError, EOFError, RuntimeError, wave.Error) as exc:
+        reason = str(exc) or "a chunk size points past the file"
+        raise ConfigError(f"{where}: cannot read WAV file {path}: {reason}") from exc
     if shape != (1, 16, sample_rate):
         raise ConfigError(f"{where}: {path} has {shape[0]} channel(s) of {shape[1]}-bit samples"
                           f" at {shape[2]} Hz; expected mono 16-bit at {sample_rate} Hz")
-    return pcm
+    if len(data) % 2:
+        raise ConfigError(f"{where}: {path} ends in half a 16-bit sample ({len(data)} data bytes)")
+    return np.frombuffer(data, dtype="<i2")
 
 
 def load_corpus(manifest_path):
@@ -227,10 +241,10 @@ def load_corpus(manifest_path):
     manifest_path = Path(manifest_path)
     manifest = json.loads(read_text(manifest_path))
     if not (isinstance(manifest, dict)
-            and all(isinstance(manifest.get(key), list) for key in ("utterances", "alphabet"))):
-        raise ConfigError(
-            f'{manifest_path}: a manifest is a JSON object with lists "utterances" and "alphabet"'
-        )
+            and all(isinstance(manifest.get(key), list) for key in ("utterances", "alphabet"))
+            and all(isinstance(s, str) and len(s) == 1 for s in manifest["alphabet"])):
+        raise ConfigError(f'{manifest_path}: a manifest is a JSON object with lists "utterances"'
+                          ' and "alphabet", this one of one-character strings')
     alphabet = LabelAlphabet(tuple(manifest["alphabet"]))
     corpus, ids = [], set()
     for i, rec in enumerate(manifest["utterances"]):

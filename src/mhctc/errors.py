@@ -36,13 +36,19 @@ class ConfigError(MhctcError):
     """Invalid or inconsistent configuration."""
 
 
-def check_ints(minimum, **values):
-    """Raise ConfigError unless every value (or item of a tuple or list) is an int >= minimum."""
+def check_ints(minimum, many=False, **values):
+    """Raise ConfigError unless every value is an int >= minimum.
+
+    With ``many`` every value is a tuple or list of such ints instead. The
+    caller says which: a list given for a scalar field is refused, as is
+    a scalar given for a list.
+    """
+    kind = "positive" if minimum == 1 else "non-negative"
+    what = f"{kind} integers" if many else f"a {kind} integer"
     for name, value in values.items():
-        many = isinstance(value, (tuple, list))
-        if any(type(v) is not int or v < minimum for v in (value if many else [value])):
-            kind = "positive" if minimum == 1 else "non-negative"
-            what = f"{kind} integers" if many else f"a {kind} integer"
+        items = value if many else (value,)
+        if not isinstance(items, (tuple, list)) or any(
+                type(v) is not int or v < minimum for v in items):
             raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 

@@ -318,6 +318,12 @@ BAD_WAVS = {
     "zero-rate": (lambda wav, rec: rec.update(sample_rate=0), "sample_rate must be positive, got 0"),
     "rate-mismatch": (lambda wav, rec: rec.update(sample_rate=16000),
                       "at 8000 Hz; expected mono 16-bit at 16000 Hz"),
+    "odd-byte-count": (lambda wav, rec: wav.write_bytes(wav.read_bytes()[:-1]),
+                       "ends in half a 16-bit sample"),
+    # the fmt chunk's size field points into the samples: the wave module's bare RuntimeError
+    "fmt-chunk-size": (lambda wav, rec: wav.write_bytes(
+        wav.read_bytes()[:16] + b"\xff" + wav.read_bytes()[17:]),
+        "cannot read WAV file {wav}: a chunk size points past the file"),
 }
 
 
@@ -334,7 +340,7 @@ def test_bad_wav_file_is_a_config_error(ws, tmp_path, capsys, kind):
     assert run("decode", "--ckpt", ws / "ste.ckpt", "--corpus", path,
                "--out", tmp_path / "h.json") == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and message in err
+    assert err.startswith("configuration error:") and message.format(wav=wav) in err
     assert f"utterance record 1 ({record['id']!r})" in err
     assert kind == "zero-rate" or str(wav) in err
     assert not (tmp_path / "h.json").exists()
@@ -462,9 +468,18 @@ def test_non_positive_band_count_is_a_config_error(ws, tmp_path, capsys):
     ("synth", ["--snr-db", "nan"], "snr_db must be a finite number"),
     ("synth", ["--amp-jitter", -0.1], "amp_jitter must be a finite number >= 0"),
     ("synth", ["--alphabet", ""], "alphabet must hold at least one symbol"),
+    # values that would overflow, divide by zero or render NaN samples in synthesis
+    ("synth", ["--snr-db", "1e300"], "snr_db +/- snr_spread_db must lie within +/-3000 dB"),
+    ("synth", ["--snr-db=-1e300"], "snr_db +/- snr_spread_db must lie within +/-3000 dB"),
+    ("synth", ["--snr-db", "-2990", "--snr-spread-db", "20"], "got -2990.0 +/- 20.0"),
+    ("synth", ["--amp-jitter", "1e300"], "amp_jitter must be at most 1, got 1e+300"),
+    ("synth", ["--freq-jitter", "1"], "freq_jitter must be below 1"),
+    ("synth", ["--freq-jitter", "0.33"], "keep the highest tone (3020 Hz) below 4000 Hz"),
 ], ids=["n-utts", "synth-seed", "len-range", "batch-size", "train-seed", "context", "epochs",
         "hidden", "negative-learning-rate", "nan-learning-rate", "negative-grad-clip",
-        "zero-grad-clip", "nan-snr", "negative-amp-jitter", "empty-alphabet"])
+        "zero-grad-clip", "nan-snr", "negative-amp-jitter", "empty-alphabet", "huge-snr",
+        "tiny-snr", "snr-spread-past-range", "huge-amp-jitter", "freq-jitter-1",
+        "freq-jitter-past-nyquist"])
 def test_bad_numeric_flag_is_a_config_error(ws, tmp_path, capsys, command, flags, message):
     if command == "synth":
         argv = ["synth", "--out", tmp_path / "c", "--n-utts", 2]
@@ -473,7 +488,8 @@ def test_bad_numeric_flag_is_a_config_error(ws, tmp_path, capsys, command, flags
     assert run(*argv, *flags) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
-    assert not (tmp_path / "m.ckpt").exists()
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "c").exists()
 
 
 def test_duplicate_utterance_id_is_a_config_error(ws, tmp_path, capsys):
@@ -534,13 +550,22 @@ def test_malformed_experiment_config_is_a_config_error(tmp_path, capsys, config,
     ("split_sizes", [1, 0, 1], "split_sizes needs an unlabeled size of at least 1"),
     ("train_epochs", -1, "train_epochs must be a non-negative integer, got -1"),
     ("finetune_epochs", 2.5, "finetune_epochs must be a non-negative integer, got 2.5"),
+    # a list where one integer is expected
+    ("hidden", [], "hidden must be a positive integer, got []"),
+    ("hidden", [1], "hidden must be a positive integer, got [1]"),
+    ("beam_width", [1], "beam_width must be a positive integer, got [1]"),
+    ("n_train", [], "n_train must be a positive integer, got []"),
+    # values synthesis cannot render
+    ("snr_db", 1e300, "snr_db +/- snr_spread_db must lie within +/-3000 dB"),
+    ("amp_jitter", 1e300, "amp_jitter must be at most 1, got 1e+300"),
 ])
 def test_bad_plan_value_fails_before_the_grid(tmp_path, capsys, field, value, message):
     plan = {"seeds": [0], "n_train": 4, "split_sizes": [1, 1, 1], field: value}
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
     assert code == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err and "Warning" not in err
     assert not list(tmp_path.glob("out/run-*"))
 
 
@@ -749,7 +774,13 @@ def test_malformed_manifest_record_is_a_config_error(ws, tmp_path, capsys):
     assert not (tmp_path / "h.json").exists()
 
 
-@pytest.mark.parametrize("manifest", [{"utterances": []}, [], {"utterances": {}, "alphabet": []}])
+@pytest.mark.parametrize("manifest", [
+    {"utterances": []}, [], {"utterances": {}, "alphabet": []},
+    # every alphabet entry is a one-character string
+    {"utterances": [], "alphabet": [{}]},
+    {"utterances": [], "alphabet": [1, 2]},
+    {"utterances": [], "alphabet": ["ab", "c"]},
+])
 def test_malformed_manifest_top_level_is_a_config_error(ws, tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))

@@ -20,6 +20,7 @@ from mhctc.pipeline import (
     ExperimentPlan,
     System,
     condition_dataset,
+    format_report,
     labeled_data,
     make_splits,
     run_adaptation_condition,
@@ -27,6 +28,7 @@ from mhctc.pipeline import (
     run_pseudo_label_stage,
     run_scenario_seed,
     run_supervised_stage,
+    summarize,
 )
 
 ALPHA = LabelAlphabet(tuple("abcde"))
@@ -123,6 +125,19 @@ class TestPlan:
         ("scenarios", "clean-train"),
         ("split_sizes", (1, 0, 1)),
         ("alphabet", 5),
+        # a list where one integer is expected
+        ("hidden", []),
+        ("hidden", [1]),
+        ("beam_width", [1]),
+        ("n_train", []),
+        # values synthesis cannot render
+        ("snr_db", 1e300),
+        ("snr_db", -1e300),
+        ("snr_spread_db", 1e300),
+        ("amp_jitter", 1e300),
+        ("amp_jitter", 1.01),
+        ("freq_jitter", 1.0),
+        ("freq_jitter", 0.33),  # 3020 Hz * 1.33 passes Nyquist
     ])
     def test_bad_value_rejected_at_construction(self, field, value):
         # every config the plan derives is built up front, not inside a grid cell,
@@ -328,19 +343,37 @@ class TestScenarioAndReport:
         b = run_scenario_seed(TINY, "multi-condition-train", 1, tmp_path / "b")
         assert a == b
 
-    def test_report_structure_and_relative_reduction(self, tmp_path):
-        plan = TINY
-        report, run_dir = run_experiment(plan, out_dir=tmp_path)
-        assert run_dir.name == f"run-{plan.config_hash()}"
+    def test_report_structure_and_relative_reduction(self):
+        plan = replace(TINY, seeds=(0, 1))
+        results = synthetic_results(plan)
+        report = summarize(plan, results)
+        assert report["config_hash"] == plan.config_hash() and report["plan"]["seeds"] == (0, 1)
+        assert list(report["scenarios"]) == list(plan.scenarios)
         for scenario in plan.scenarios:
             entry = report["scenarios"][scenario]
+            assert entry["per_seed"] == {str(s): results[scenario, s] for s in plan.seeds}
             assert set(entry["summary"]) == set(CONDITIONS)
+            assert list(entry["summary"]) == list(plan.conditions)
             base = entry["summary"]["supervised-labeled"]["mean_wer"]
             mh = entry["summary"]["mh-ctc"]["mean_wer"]
             want = 100.0 * (base - mh) / base
             assert entry["relative_reduction_mh_vs_baseline"] == pytest.approx(want, abs=1e-3)
-        assert (run_dir / "report.json").exists()
-        assert (run_dir / "report.txt").exists()
+
+    def test_run_experiment_reports_summarize_of_its_cells(self, tmp_path, monkeypatch):
+        cells = []
+
+        def run_cells_noted(plan, grid, run_dir):
+            outcomes = run_cells(plan, grid, run_dir)
+            cells.append(dict(zip(grid, outcomes)))
+            return outcomes
+
+        run_cells = pipeline._run_cells
+        monkeypatch.setattr(pipeline, "_run_cells", run_cells_noted)
+        report, run_dir = run_experiment(TINY, out_dir=tmp_path)
+        assert run_dir.name == f"run-{TINY.config_hash()}"
+        assert len(cells) == 1 and report == summarize(TINY, cells[0])
+        assert json.loads((run_dir / "report.json").read_text()) == json.loads(json.dumps(report))
+        assert (run_dir / "report.txt").read_text() == format_report(report)
 
     def test_report_files_byte_identical_across_reruns(self, tmp_path):
         _, dir_a = run_experiment(TINY, out_dir=tmp_path / "a")
@@ -432,6 +465,80 @@ class TestScenarioAndReport:
         assert {(pid, threads) for _, pid, threads in calls[1]} == {(os.getpid(), 1)}
         assert all(pid != os.getpid() and threads == 1 for _, pid, threads in calls[2])
         assert same_files(dirs[1], dirs[2]) == len(CONDITIONS) + 1 + 2
+
+
+def synthetic_results(plan, wer=lambda seed, c: 10.0 + 3 * seed + CONDITIONS.index(c), fail=()):
+    """``{(scenario, seed): cell result}`` shaped as ``run_cell`` returns them.
+
+    Each condition's WER is ``wer(seed, condition)``; the cells in ``fail``
+    hold an error instead.
+    """
+    return {
+        (scenario, seed): {"error": "InvalidInput: no systems"} if (scenario, seed) in fail else {
+            "conditions": {c: {"wer": wer(seed, c), "cer": 1.0, "errors": 1, "ref_words": 10,
+                               "lineage": []} for c in plan.conditions},
+            "pseudo_label_wer": {"sysA": 20.0, "sysB": 25.0}}
+        for scenario in plan.scenarios for seed in plan.seeds}
+
+
+class TestSummarize:
+    """The report as a pure function of synthetic cell results: no grid runs."""
+
+    plan = replace(TINY, seeds=(0, 1, 2))
+
+    def test_tie_between_two_conditions(self):
+        # mh-ctc and supervised-labeled tie at every seed: a reduction of exactly 0
+        tied = {"supervised-labeled": 12.5, "mh-ctc": 12.5}
+        report = summarize(self.plan, synthetic_results(
+            self.plan, lambda seed, condition: tied.get(condition, 30.0)))
+        for entry in report["scenarios"].values():
+            summary = entry["summary"]
+            assert summary["mh-ctc"] == summary["supervised-labeled"] == {
+                "mean_wer": 12.5, "per_seed_wer": [12.5] * 3}
+            assert entry["relative_reduction_mh_vs_baseline"] == 0.0
+        assert "relative WER reduction, mh-ctc vs supervised-labeled: 0.00%" in (
+            format_report(report))
+
+    def test_failed_cell_is_left_out_of_the_means(self):
+        results = synthetic_results(self.plan, fail={("clean-train", 1)})
+        report = summarize(self.plan, results)
+        entry = report["scenarios"]["clean-train"]
+        assert entry["per_seed"]["1"] == {"error": "InvalidInput: no systems"}
+        assert entry["summary"]["mh-ctc"] == {"mean_wer": 17.0, "per_seed_wer": [14.0, 20.0]}
+        other = report["scenarios"]["multi-condition-train"]["summary"]["mh-ctc"]
+        assert other["per_seed_wer"] == [14.0, 17.0, 20.0]
+        assert pipeline.failed_cells(report) == [
+            ("clean-train", "1", "InvalidInput: no systems")]
+        assert format_report(report).endswith(
+            "failed: clean-train seed 1: InvalidInput: no systems\n")
+
+    def test_every_seed_failed_reads_n_a(self):
+        fail = {("clean-train", seed) for seed in self.plan.seeds}
+        report = summarize(self.plan, synthetic_results(self.plan, fail=fail))
+        entry = report["scenarios"]["clean-train"]
+        assert all(stats == {"mean_wer": None, "per_seed_wer": []}
+                   for stats in entry["summary"].values())
+        assert "relative_reduction_mh_vs_baseline" not in entry
+        assert "relative_reduction_mh_vs_baseline" in report["scenarios"]["multi-condition-train"]
+        text = format_report(report)
+        assert f"{'mh-ctc':<22}{'n/a':>10}  \n" in text
+        assert text.count("relative WER reduction") == 1
+
+    @pytest.mark.parametrize("missing", ["mh-ctc", "supervised-labeled"])
+    def test_plan_without_a_compared_condition_has_no_reduction(self, missing):
+        plan = replace(self.plan, conditions=tuple(c for c in CONDITIONS if c != missing))
+        report = summarize(plan, synthetic_results(plan))
+        for entry in report["scenarios"].values():
+            assert missing not in entry["summary"]
+            assert "relative_reduction_mh_vs_baseline" not in entry
+        assert "relative WER reduction" not in format_report(report)
+
+    def test_zero_baseline_has_no_reduction(self):
+        report = summarize(self.plan, synthetic_results(
+            self.plan, lambda seed, condition: 0.0 if condition == "supervised-labeled" else 5.0))
+        for entry in report["scenarios"].values():
+            assert entry["summary"]["supervised-labeled"]["mean_wer"] == 0.0
+            assert "relative_reduction_mh_vs_baseline" not in entry
 
 
 def same_files(dir_a, dir_b):
