@@ -14,7 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .alphabet import LabelAlphabet
-from .errors import ConfigError, InvalidInput, check_ints, check_reals, read_text
+from .errors import (
+    ConfigError, InvalidInput, NonNegative, check_fields, check_value, choices, instance, ints,
+    read_text, reals,
+)
 
 NOISE_KINDS = ("none", "white", "babble", "bandlimited")
 RECORD_TYPES = dict(id=str, path=str, transcription=str, sample_rate=int, condition=str)
@@ -24,28 +27,21 @@ SYMBOL_MS = (80, 140)  # range of one symbol's duration
 
 @dataclass(frozen=True)
 class SynthConfig:
-    alphabet: LabelAlphabet
-    noise_kind: str = "none"
-    snr_db: float = 10.0
-    snr_spread_db: float = 0.0  # per-utterance SNR = snr_db +/- spread
-    freq_jitter: float = 0.0  # relative band-center jitter per symbol instance
-    amp_jitter: float = 0.0  # relative amplitude jitter per symbol instance
-    seed: int = 0
+    alphabet: instance(LabelAlphabet, "a LabelAlphabet")
+    noise_kind: choices(NOISE_KINDS) = "none"
+    snr_db: reals() = 10.0
+    snr_spread_db: reals(0) = 0.0  # per-utterance SNR = snr_db +/- spread
+    freq_jitter: reals(0) = 0.0  # relative band-center jitter per symbol instance
+    amp_jitter: reals(0, 1) = 0.0  # relative amplitude jitter per symbol instance
+    seed: NonNegative = 0
 
     def __post_init__(self):
-        if self.noise_kind not in NOISE_KINDS:
-            raise ConfigError(f"noise_kind must be one of {NOISE_KINDS}")
-        check_ints(0, seed=self.seed)
-        check_reals(snr_db=self.snr_db)
-        check_reals(0, snr_spread_db=self.snr_spread_db, freq_jitter=self.freq_jitter,
-                    amp_jitter=self.amp_jitter)
+        check_fields(self)
         # 10 ** (snr / 10) within 1e+/-300 leaves mix_at_snr's products room to stay
         # finite and non-zero: at -3083 dB its noise power overflows, at -3230 dB it divides by 0
         if abs(self.snr_db) + self.snr_spread_db > 3000:
             raise ConfigError(f"snr_db +/- snr_spread_db must lie within +/-3000 dB,"
                               f" got {self.snr_db!r} +/- {self.snr_spread_db!r}")
-        if self.amp_jitter > 1:
-            raise ConfigError(f"amp_jitter must be at most 1, got {self.amp_jitter!r}")
         top = symbol_band_centers(self.alphabet)[-1][1]  # raises if the alphabet does not fit
         if self.freq_jitter >= 1 or top * (1 + self.freq_jitter) >= SAMPLE_RATE / 2:
             raise ConfigError(f"freq_jitter must be below 1 and keep the highest tone ({top:g} Hz)"
@@ -173,7 +169,7 @@ def synth_utterance(cfg, uid, length, seed_seq):
 def synth_corpus(cfg, n_utts, len_range, id_prefix="utt"):
     """Deterministic corpus: per-utterance seeds spawned from cfg.seed."""
     lmin, lmax = len_range
-    check_ints(0, n_utts=n_utts)
+    check_value("n_utts", n_utts, ints(0))
     if not 1 <= lmin <= lmax:
         raise ConfigError(f"transcription lengths need 1 <= min <= max, got {lmin}..{lmax}")
     root = np.random.SeedSequence(cfg.seed)

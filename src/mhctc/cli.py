@@ -180,9 +180,9 @@ def cmd_adapt(args):
 
 
 def cmd_decode(args):
+    dcfg = DecodeConfig(beam_width=args.beam_width, mode=args.mode)
     params, symbols, fcfg = load_checkpoint(args.ckpt)
     corpus = _load_utts(args.corpus, symbols)
-    dcfg = DecodeConfig(beam_width=args.beam_width, mode=args.mode)
     system = System(name="cli", feature_cfg=fcfg, params=params)
     hyps = decode_set(system, corpus, lambda logp: decode(logp, dcfg), {})
     out = {uid: [int(v) for v in labels] for uid, labels in hyps.items()}

@@ -11,21 +11,22 @@ import numpy as np
 
 from .alphabet import BLANK
 from .ctc import collapse_path, ctc_loss  # noqa: F401 (perfbench/tracing.py rebinds ctc_loss here)
-from .errors import ConfigError, check_ints
+from .errors import check_fields, choices, ints
 
 NEG_INF = -np.inf
 DECODE_MODES = ("greedy", "beam")
+# the widest beam a config accepts: a width that is never reached cuts nothing, so the
+# kept set would grow about K-fold per frame (README gives a decode's cost at the bound)
+MAX_BEAM_WIDTH = 1000
 
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    beam_width: int = 20
-    mode: str = "beam"
+    beam_width: ints(1, MAX_BEAM_WIDTH) = 20
+    mode: choices(DECODE_MODES) = "beam"
 
     def __post_init__(self):
-        check_ints(1, beam_width=self.beam_width)
-        if self.mode not in DECODE_MODES:
-            raise ConfigError(f"mode must be {' or '.join(map(repr, DECODE_MODES))}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

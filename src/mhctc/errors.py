@@ -1,7 +1,14 @@
-"""Exception types shared across the package, the integer- and real-field checks, and text input."""
+"""Exception types shared across the package, the kinds of config fields, and text input.
+
+Each config field declares its kind in its annotation, e.g. ``hidden: Positive = 128``;
+the class's ``__post_init__`` calls ``check_fields``, then checks its cross-field rules.
+"""
 
 import math
+from dataclasses import fields
 from pathlib import Path
+from sys import float_info
+from typing import Annotated, Callable, NamedTuple
 
 
 class MhctcError(Exception):
@@ -36,29 +43,79 @@ class ConfigError(MhctcError):
     """Invalid or inconsistent configuration."""
 
 
-def check_ints(minimum, many=False, **values):
-    """Raise ConfigError unless every value is an int >= minimum.
+class Kind(NamedTuple):
+    """What a config field holds, made by ``ints``, ``reals``, ``choices`` or ``instance``.
 
-    With ``many`` every value is a tuple or list of such ints instead. The
-    caller says which: a list given for a scalar field is refused, as is
-    a scalar given for a list.
+    ``problem(item)`` says what a bad item must be, and is None for a good one.
+    With ``many`` the field is a list of such items, kept as a tuple.
     """
-    kind = "positive" if minimum == 1 else "non-negative"
-    what = f"{kind} integers" if many else f"a {kind} integer"
-    for name, value in values.items():
-        items = value if many else (value,)
-        if not isinstance(items, (tuple, list)) or any(
-                type(v) is not int or v < minimum for v in items):
-            raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+    problem: Callable
+    many: bool = False
 
 
-def check_reals(minimum=-math.inf, strict=False, **values):
-    """Raise ConfigError unless every value is a finite real number >= minimum (> when strict)."""
-    for name, value in values.items():
-        real = isinstance(value, (int, float)) and type(value) is not bool and math.isfinite(value)
-        if not real or value < minimum or (strict and value == minimum):
-            bound = f" {'>' if strict else '>='} {minimum}" if minimum > -math.inf else ""
-            raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
+def ints(low, high=math.inf, many=False):
+    """Ints from ``low`` (0 or 1) to ``high``."""
+    sign = "positive" if low else "non-negative"
+    what = f"{sign} integers" if many else f"a {sign} integer"
+    kind = Kind(lambda v: what if type(v) is not int or v < low else _at_most(v, high), many)
+    return Annotated[tuple if many else int, kind]
+
+
+def reals(low=-math.inf, high=math.inf, strict=False):
+    """Finite real numbers, ints included, from ``low`` (above it when ``strict``) to ``high``."""
+    bound = f" {'>' if strict else '>='} {low}" if low > -math.inf else ""
+
+    def problem(v):
+        # an int beyond the float range is refused too: arithmetic with a float would overflow
+        fine = (isinstance(v, (int, float)) and type(v) is not bool and abs(v) <= float_info.max
+                and (v > low if strict else v >= low))
+        return _at_most(v, high) if fine else f"a finite number{bound}"
+    return Annotated[float, Kind(problem)]
+
+
+def _at_most(v, high):
+    return f"at most {high}" if v > high else None
+
+
+def choices(options, many=False):
+    """One of ``options``."""
+    names = " or ".join(map(repr, options))
+    kind = Kind(lambda v: None if v in options else f"a list of {names}" if many else names, many)
+    return Annotated[tuple if many else str, kind]
+
+
+def instance(cls, what):
+    """An instance of ``cls``, called ``what`` in messages."""
+    return Annotated[cls, Kind(lambda v: None if isinstance(v, cls) else what)]
+
+
+Positive = ints(1)
+NonNegative = ints(0)
+
+
+def check_value(name, value, kind):
+    """``value`` if it is of ``kind`` (a list made a tuple); ConfigError naming ``name`` if not.
+
+    ``kind`` is an annotation that ``ints``, ``reals``, ``choices`` or ``instance`` made.
+    A list given for a scalar is refused, as is a scalar given for a list.
+    """
+    kind = kind.__metadata__[0]
+    if kind.many:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        value = tuple(value)  # a JSON config gives lists
+    for item in value if kind.many else (value,):
+        problem = kind.problem(item)
+        if problem:
+            raise ConfigError(f"{name} must be {problem}, got {value!r}")
+    return value
+
+
+def check_fields(config):
+    """Check every field of dataclass ``config`` against the kind its annotation declares."""
+    for f in fields(config):
+        object.__setattr__(config, f.name, check_value(f.name, getattr(config, f.name), f.type))
 
 
 def read_text(path):

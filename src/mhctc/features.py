@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, filtfilt
 
-from .errors import ConfigError, TooShort, check_ints
+from .errors import ConfigError, Positive, TooShort, check_fields, choices
 
 LOG_FLOOR_VALUE = 1e-10
 FRAME_MS = 25.0
@@ -26,15 +26,13 @@ BANDS = {"fbank": 16, "ste": 12}  # each front end's band count: systems A and B
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    kind: str = "fbank"
-    n_bands: int = None  # None: the front end's own count, BANDS[kind]
+    kind: choices(tuple(BANDS)) = "fbank"
+    n_bands: Positive = None  # None: the front end's own count, BANDS[kind]
 
     def __post_init__(self):
-        if self.kind not in BANDS:
-            raise ConfigError(f"feature kind must be {' or '.join(map(repr, BANDS))}")
-        if self.n_bands is None:
+        if self.n_bands is None and self.kind in tuple(BANDS):  # else check_fields names kind
             object.__setattr__(self, "n_bands", BANDS[self.kind])
-        check_ints(1, n_bands=self.n_bands)
+        check_fields(self)
 
     @property
     def dim(self):

@@ -16,8 +16,8 @@ import numpy as np
 # perfbench/tracing.py rebinds ctc_loss and mh_ctc_loss here
 from .ctc import ctc_lattice, ctc_loss, logits_gradient  # noqa: F401
 from .errors import (
-    ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, ShapeError, check_ints,
-    check_reals,
+    ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, NonNegative, Positive,
+    ShapeError, check_fields, reals,
 )
 from .features import FeatureConfig
 from .mh import mh_ctc_loss, target_labels  # noqa: F401
@@ -31,15 +31,14 @@ CHECKPOINT_KEYS = {"version", "config", "features", "alphabet", "lineage"}
 
 @dataclass(frozen=True)
 class ModelConfig:
-    feat_dim: int
-    n_outputs: int
-    context: int = 4
-    hidden: int = 128
-    seed: int = 0
+    feat_dim: Positive
+    n_outputs: Positive
+    context: NonNegative = 4
+    hidden: Positive = 128
+    seed: NonNegative = 0
 
     def __post_init__(self):
-        check_ints(1, feat_dim=self.feat_dim, n_outputs=self.n_outputs, hidden=self.hidden)
-        check_ints(0, context=self.context, seed=self.seed)
+        check_fields(self)
 
 
 @dataclass
@@ -60,16 +59,14 @@ class ModelParams:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.02
-    epochs: int = 10
-    batch_size: int = 4
-    seed: int = 0
-    grad_clip: float = 5.0
+    learning_rate: reals(0, strict=True) = 0.02
+    epochs: NonNegative = 10
+    batch_size: Positive = 4
+    seed: NonNegative = 0
+    grad_clip: reals(0, strict=True) = 5.0
 
     def __post_init__(self):
-        check_ints(0, epochs=self.epochs, seed=self.seed)
-        check_ints(1, batch_size=self.batch_size)
-        check_reals(0, strict=True, learning_rate=self.learning_rate, grad_clip=self.grad_clip)
+        check_fields(self)
 
 
 def _tensor_shapes(config):

@@ -32,10 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from .alphabet import LabelAlphabet
-from .audio import SynthConfig, synth_corpus
+from .audio import NOISE_KINDS, SynthConfig, synth_corpus
 from .blas import openblas, pin_one_thread
-from .decode import DecodeConfig, beam_decode, greedy_decode
-from .errors import ConfigError, check_ints
+from .decode import MAX_BEAM_WIDTH, DecodeConfig, beam_decode, greedy_decode
+from .errors import ConfigError, NonNegative, Positive, check_fields, choices, instance, ints, reals
 from .features import FeatureConfig, cmn, extract
 from .mh import HypothesisSet
 from .model import (
@@ -77,41 +77,27 @@ class AdaptationSplit:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    scenarios: tuple = SCENARIOS
-    conditions: tuple = CONDITIONS
-    seeds: tuple = (0, 1, 2, 3, 4)
-    alphabet: str = "abcde"
-    n_train: int = 80
-    split_sizes: tuple = (30, 61, 140)
-    len_range: tuple = (4, 10)
-    noise_kind: str = "babble"
-    snr_db: float = 6.0
-    snr_spread_db: float = 5.0
-    freq_jitter: float = 0.08
-    amp_jitter: float = 0.3
-    hidden: int = ModelConfig.hidden
-    train_epochs: int = 14
-    finetune_epochs: int = 20
-    adapt_epochs: int = 16
-    beam_width: int = DecodeConfig.beam_width
+    scenarios: choices(SCENARIOS, many=True) = SCENARIOS
+    conditions: choices(CONDITIONS, many=True) = CONDITIONS
+    seeds: ints(0, many=True) = (0, 1, 2, 3, 4)
+    alphabet: instance(str, "a string of symbols") = "abcde"
+    n_train: Positive = 80
+    split_sizes: ints(0, many=True) = (30, 61, 140)
+    len_range: ints(1, many=True) = (4, 10)
+    noise_kind: choices(NOISE_KINDS) = "babble"
+    snr_db: reals() = 6.0
+    snr_spread_db: reals(0) = 5.0
+    freq_jitter: reals(0) = 0.08
+    amp_jitter: reals(0, 1) = 0.3
+    hidden: Positive = ModelConfig.hidden
+    train_epochs: NonNegative = 14
+    finetune_epochs: NonNegative = 20
+    adapt_epochs: NonNegative = 16
+    beam_width: ints(1, MAX_BEAM_WIDTH) = DecodeConfig.beam_width
 
     def __post_init__(self):
-        for name in ("scenarios", "conditions", "seeds", "split_sizes", "len_range"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{name} must be a list, got {value!r}")
-            object.__setattr__(self, name, tuple(value))  # a JSON plan gives lists
-        for name, known in (("scenario", SCENARIOS), ("condition", CONDITIONS)):
-            for value in getattr(self, name + "s"):
-                if value not in known:
-                    raise ConfigError(f"unknown {name} {value!r}")
-        # check every field and build the configs the plan derives once, so that
         # a bad value fails here, before any synthesis, and not inside every grid cell
-        check_ints(1, n_train=self.n_train)
-        check_ints(1, many=True, len_range=self.len_range)
-        check_ints(0, many=True, split_sizes=self.split_sizes, seeds=self.seeds)
-        check_ints(0, train_epochs=self.train_epochs, finetune_epochs=self.finetune_epochs,
-                   adapt_epochs=self.adapt_epochs)
+        check_fields(self)
         for name in ("scenarios", "conditions", "seeds"):
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
@@ -125,13 +111,7 @@ class ExperimentPlan:
         if self.split_sizes[1] < 1:  # else every pseudo-label condition is supervised-labeled
             raise ConfigError(f"split_sizes needs an unlabeled size of at least 1,"
                               f" got {self.split_sizes!r}")
-        if not isinstance(self.alphabet, str):
-            raise ConfigError(f"alphabet must be a string of symbols, got {self.alphabet!r}")
-        alphabet = LabelAlphabet(tuple(self.alphabet))
-        DecodeConfig(beam_width=self.beam_width)
-        ModelConfig(feat_dim=FeatureConfig().dim, n_outputs=alphabet.n_outputs,
-                    hidden=self.hidden)
-        self.synth_cfg(self.noise_kind, seed=0)
+        self.synth_cfg(self.noise_kind, seed=0)  # the SNR range and jitter rules of synthesis
 
     def train_cfg(self, stage, seed):
         """TrainConfig of one training stage: "train", "finetune" or "adapt"."""

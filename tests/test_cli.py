@@ -475,21 +475,25 @@ def test_non_positive_band_count_is_a_config_error(ws, tmp_path, capsys):
     ("synth", ["--amp-jitter", "1e300"], "amp_jitter must be at most 1, got 1e+300"),
     ("synth", ["--freq-jitter", "1"], "freq_jitter must be below 1"),
     ("synth", ["--freq-jitter", "0.33"], "keep the highest tone (3020 Hz) below 4000 Hz"),
+    ("decode", ["--beam-width", 0], "beam_width must be a positive integer, got 0"),
+    ("decode", ["--beam-width", 10**20], "beam_width must be at most 1000"),
 ], ids=["n-utts", "synth-seed", "len-range", "batch-size", "train-seed", "context", "epochs",
         "hidden", "negative-learning-rate", "nan-learning-rate", "negative-grad-clip",
         "zero-grad-clip", "nan-snr", "negative-amp-jitter", "empty-alphabet", "huge-snr",
         "tiny-snr", "snr-spread-past-range", "huge-amp-jitter", "freq-jitter-1",
-        "freq-jitter-past-nyquist"])
+        "freq-jitter-past-nyquist", "zero-beam-width", "huge-beam-width"])
 def test_bad_numeric_flag_is_a_config_error(ws, tmp_path, capsys, command, flags, message):
-    if command == "synth":
-        argv = ["synth", "--out", tmp_path / "c", "--n-utts", 2]
-    else:
-        argv = ["train", "--corpus", ws / "train/manifest.json", "--out", tmp_path / "m.ckpt"]
+    argv = {
+        "synth": ["synth", "--out", tmp_path / "c", "--n-utts", 2],
+        "train": ["train", "--corpus", ws / "train/manifest.json", "--out", tmp_path / "m.ckpt"],
+        "decode": ["decode", "--ckpt", ws / "ste.ckpt", "--corpus", ws / "unlab/manifest.json",
+                   "--out", tmp_path / "h.json"],
+    }[command]
     assert run(*argv, *flags) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
     assert "Traceback" not in err and "Warning" not in err
-    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "c").exists()
+    assert not any((tmp_path / name).exists() for name in ("m.ckpt", "c", "h.json"))
 
 
 def test_duplicate_utterance_id_is_a_config_error(ws, tmp_path, capsys):
@@ -558,6 +562,8 @@ def test_malformed_experiment_config_is_a_config_error(tmp_path, capsys, config,
     # values synthesis cannot render
     ("snr_db", 1e300, "snr_db +/- snr_spread_db must lie within +/-3000 dB"),
     ("amp_jitter", 1e300, "amp_jitter must be at most 1, got 1e+300"),
+    ("beam_width", 10**20, "beam_width must be at most 1000, got 100000000000000000000"),
+    ("seeds", [True], "seeds must be non-negative integers, got (True,)"),
 ])
 def test_bad_plan_value_fails_before_the_grid(tmp_path, capsys, field, value, message):
     plan = {"seeds": [0], "n_train": 4, "split_sizes": [1, 1, 1], field: value}
@@ -567,6 +573,27 @@ def test_bad_plan_value_fails_before_the_grid(tmp_path, capsys, field, value, me
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err and "Warning" not in err
     assert not list(tmp_path.glob("out/run-*"))
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("hidden", 10**20, "ValueError: Maximum allowed dimension exceeded"),
+    ("n_train", 10**20, "OverflowError: Python int too large to convert to C ssize_t"),
+    ("split_sizes", [1, 1, 10**20], "OverflowError: Python int too large to convert to C ssize_t"),
+    ("len_range", [2, 10**20], "ValueError: high is out of bounds for int64"),
+])
+def test_size_no_machine_can_allocate_fails_the_cell(tmp_path, capsys, caplog, monkeypatch,
+                                                     field, value, error):
+    # the plan has no upper bound on a size: the cell fails typed, with no traceback or warning
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    plan = dict(TINY_PLAN, scenarios=["clean-train"], train_epochs=0, finetune_epochs=0,
+                adapt_epochs=0, **{field: value})
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
+    assert code == EXIT_STAGE
+    report = next(tmp_path.glob("out/run-*/report.txt")).read_text()
+    assert report.endswith(f"failed: clean-train seed 0: {error}\n")
+    err = capsys.readouterr().err + caplog.text
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_failed_grid_cell_is_a_stage_failure(tmp_path, capsys, caplog, monkeypatch):

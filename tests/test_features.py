@@ -213,7 +213,7 @@ class TestFeatureCache:
 
     def test_unknown_kind_rejected(self):
         # extract dispatches on the kind, so the config is where it is checked
-        with pytest.raises(ConfigError, match="feature kind must be 'fbank' or 'ste'"):
+        with pytest.raises(ConfigError, match="kind must be 'fbank' or 'ste', got 'mfcc'"):
             FeatureConfig(kind="mfcc")
 
     def test_extract_dispatch(self):

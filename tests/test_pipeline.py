@@ -11,6 +11,7 @@ from mhctc.alphabet import LabelAlphabet
 from mhctc.audio import SynthConfig, synth_corpus
 from mhctc.blas import openblas
 from mhctc.ctc import ctc_loss
+from mhctc.decode import MAX_BEAM_WIDTH
 from mhctc.errors import ConfigError
 from mhctc.features import FeatureConfig, cmn, extract
 from mhctc.mh import HypothesisSet, mh_ctc_loss
@@ -138,10 +139,15 @@ class TestPlan:
         ("amp_jitter", 1.01),
         ("freq_jitter", 1.0),
         ("freq_jitter", 0.33),  # 3020 Hz * 1.33 passes Nyquist
+        ("snr_db", 10**400),  # an int beyond the float range
+        # a width never reached cuts nothing, so the kept set grows about K-fold per frame
+        ("beam_width", MAX_BEAM_WIDTH + 1),
+        ("beam_width", 10**20),
+        ("seeds", [True]),
     ])
     def test_bad_value_rejected_at_construction(self, field, value):
-        # every config the plan derives is built up front, not inside a grid cell,
-        # and the message names the plan's field, not the derived config's
+        # every field is checked when the plan is built, not inside a grid cell,
+        # and the message names the plan's field, not a derived config's
         with pytest.raises(ConfigError, match=field):
             ExperimentPlan(**{field: value})
 
