@@ -3,7 +3,7 @@
 from .alphabet import BLANK, LabelAlphabet
 from .ctc import ctc_loss, expand_labels, min_frames
 from .decode import DecodeConfig, beam_decode, greedy_decode
-from .mh import HypothesisSet, mh_ctc_loss
+from .mh import mh_ctc_loss
 from .score import WerReport, edit_distance
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "DecodeConfig",
     "beam_decode",
     "greedy_decode",
-    "HypothesisSet",
     "mh_ctc_loss",
     "WerReport",
     "edit_distance",

@@ -33,8 +33,8 @@ NEG_INF = -np.inf
 class LossResult:
     """Loss of one utterance and its gradient w.r.t. the input log-probabilities.
 
-    ``loss`` (nats) is the sum of ``per_hypothesis``: one entry for a plain
-    transcription, one per hypothesis for a multi-hypothesis set.
+    ``loss`` (nats) is the sum of ``per_hypothesis``: one entry per
+    transcription of the utterance's target.
     """
 
     loss: float

@@ -152,8 +152,9 @@ def _backward_from(params, xc, h, logp, grad_logp):
 def sgd_train(params, dataset, cfg):
     """Mini-batch SGD on the summed loss over each batch.
 
-    ``dataset`` is a list of (features, target) pairs; targets may mix
-    transcriptions and HypothesisSets.  Every utterance's features and
+    ``dataset`` is a list of (features, target) pairs; a target is a tuple
+    of one or more transcriptions (``mh.target_labels``), so a batch may
+    mix N=1 and N>=2 targets.  Every utterance's features and
     target are checked once, before the first epoch; an infeasible
     utterance is logged once and left out of every batch.  A batch whose
     gradient is not finite, as after a non-finite loss, raises DivergedError.

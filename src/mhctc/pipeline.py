@@ -37,7 +37,6 @@ from .blas import openblas, pin_one_thread
 from .decode import MAX_BEAM_WIDTH, DecodeConfig, beam_decode, greedy_decode
 from .errors import ConfigError, NonNegative, Positive, check_fields, choices, instance, ints, reals
 from .features import FeatureConfig, cmn, extract
-from .mh import HypothesisSet
 from .model import (
     ModelConfig,
     TrainConfig,
@@ -162,8 +161,8 @@ def _features_for(system, utts, cache):
 
 
 def labeled_data(system, utts, cache):
-    """(features, manual transcription) pairs under ``system``'s front end."""
-    return list(zip(_features_for(system, utts, cache), (u.labels for u in utts)))
+    """(features, (manual transcription,)) pairs under ``system``'s front end."""
+    return list(zip(_features_for(system, utts, cache), ((u.labels,) for u in utts)))
 
 
 def init_system(name, feature_cfg, n_outputs, context, hidden, seed):
@@ -216,23 +215,21 @@ def condition_dataset(condition, split, hyps_a, hyps_b, system, cache):
     """Assemble (features, target) pairs for one adaptation condition.
 
     The labeled subset keeps its manual transcriptions; each unlabeled
-    utterance gets one target per source in ``CONDITION_TARGETS[condition]``
-    (``hyps_a`` / ``hyps_b``: id -> 1-best of A / B), two as one HypothesisSet.
-    Features come from ``system``'s front end.
+    utterance's target holds one transcription per source in
+    ``CONDITION_TARGETS[condition]``, in its order (``hyps_a`` /
+    ``hyps_b``: id -> 1-best of A / B). Features come from ``system``'s
+    front end.
     """
     sources = CONDITION_TARGETS[condition]
     data = labeled_data(system, split.labeled, cache)
     if not sources:
         return data
     hyps = {"truth": {u.id: u.labels for u in split.unlabeled}, "sysA": hyps_a, "sysB": hyps_b}
-    columns = []
     for source in sources:
         missing = [u.id for u in split.unlabeled if u.id not in hyps[source]]
         if missing:
             raise ConfigError(f"no {source} hypothesis for unlabeled utterance {missing[0]!r}")
-        columns.append([hyps[source][u.id] for u in split.unlabeled])
-    targets = columns[0] if len(columns) == 1 else [
-        HypothesisSet(hypotheses=hs, source_tags=sources) for hs in zip(*columns)]
+    targets = [tuple(hyps[s][u.id] for s in sources) for u in split.unlabeled]
     return data + list(zip(_features_for(system, split.unlabeled, cache), targets))
 
 

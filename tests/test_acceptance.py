@@ -20,7 +20,7 @@ from mhctc.audio import (
 from mhctc.ctc import ctc_loss, logits_gradient
 from mhctc.decode import DecodeConfig, beam_decode
 from mhctc.features import FeatureConfig, fbank, ste
-from mhctc.mh import HypothesisSet, mh_ctc_loss
+from mhctc.mh import mh_ctc_loss
 from mhctc.model import ModelConfig, forward, init_model
 from mhctc.pipeline import ExperimentPlan, run_experiment
 from mhctc.score import edit_distance
@@ -113,7 +113,7 @@ def test_criterion_3_mh_loss_identities():
     for _ in range(500):  # additivity: combined loss equals the sum of parts
         logp, c1 = random_instance(rng, max_T=6)
         c2 = _feasible_labels(rng, logp)
-        hs = HypothesisSet(hypotheses=(c1, c2), source_tags=("a", "b"))
+        hs = (c1, c2)
         res = mh_ctc_loss(logp, hs)
         parts = [ctc_loss(logp, c).loss for c in (c1, c2)]
         assert abs(res.loss - sum(parts)) <= 1e-12 * max(1.0, abs(res.loss))
@@ -122,21 +122,21 @@ def test_criterion_3_mh_loss_identities():
     for _ in range(500):  # product form against double brute-force enumeration
         logp, c1 = random_instance(rng, max_T=6)
         c2 = _feasible_labels(rng, logp)
-        hs = HypothesisSet(hypotheses=(c1, c2), source_tags=("a", "b"))
+        hs = (c1, c2)
         loss = mh_ctc_loss(logp, hs).loss
         oracle = product_form_check(logp, c1, c2)
         assert abs(loss - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
     for _ in range(500):  # N=1 degenerates to the plain loss
         logp, c1 = random_instance(rng, max_T=6)
-        single = mh_ctc_loss(logp, HypothesisSet(hypotheses=(c1,), source_tags=("a",)))
+        single = mh_ctc_loss(logp, (c1,))
         assert abs(single.loss - ctc_loss(logp, c1).loss) <= 1e-15
 
     for _ in range(500):  # hypothesis order never matters
         logp, c1 = random_instance(rng, max_T=6)
         c2 = _feasible_labels(rng, logp)
-        ab = mh_ctc_loss(logp, HypothesisSet(hypotheses=(c1, c2), source_tags=("a", "b")))
-        ba = mh_ctc_loss(logp, HypothesisSet(hypotheses=(c2, c1), source_tags=("b", "a")))
+        ab = mh_ctc_loss(logp, (c1, c2))
+        ba = mh_ctc_loss(logp, (c2, c1))
         assert abs(ab.loss - ba.loss) <= 1e-12
         np.testing.assert_allclose(ab.grad, ba.grad, atol=1e-12)
 

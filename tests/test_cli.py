@@ -141,7 +141,7 @@ def test_adapt_matches_in_process_training(ws):
                  unlabeled=ws / "unlab/manifest.json") == EXIT_OK
     params, _, fcfg = load_checkpoint(ws / "ste.ckpt")
     utts = load_corpus(ws / "lab/manifest.json")[0] + load_corpus(ws / "unlab/manifest.json")[0]
-    data = [(cmn(ste(u, fcfg)), u.labels) for u in utts]
+    data = [(cmn(ste(u, fcfg)), (u.labels,)) for u in utts]
     want, _ = sgd_train(params, data, TrainConfig(learning_rate=0.01, epochs=1, seed=3))
     got, _, _ = load_checkpoint(out)
     for k, v in want.tensors().items():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from mhctc.ctc import ctc_loss
-from mhctc.errors import DivergedError, InvalidLabel, ShapeError
+from mhctc.errors import DivergedError, InvalidInput, InvalidLabel, ShapeError
 from mhctc.features import FeatureConfig
-from mhctc.mh import HypothesisSet
 from mhctc.model import (
     ModelConfig,
     TrainConfig,
@@ -132,7 +131,7 @@ class TestSgdTrain:
         data = []
         for _ in range(n):
             x = rng.standard_normal((8, 3))
-            data.append((x, (1, 2)))
+            data.append((x, ((1, 2),)))
         return data
 
     def test_zero_epochs_unchanged(self):
@@ -162,14 +161,14 @@ class TestSgdTrain:
         x1 = rng.standard_normal((8, 3))
         x2 = rng.standard_normal((8, 3))
         data = [
-            (x1, (1,)),
-            (x2, HypothesisSet(hypotheses=((1, 2), (2,)), source_tags=("a", "b"))),
+            (x1, ((1,),)),
+            (x2, ((1, 2), (2,))),
         ]
         _, curve = sgd_train(tiny_model(), data, TrainConfig(epochs=2))
         assert len(curve) == 2
 
     def test_infeasible_skipped(self, caplog):
-        data = [(np.zeros((1, 3)), (1, 1, 2))]  # needs 4 frames, has 1
+        data = [(np.zeros((1, 3)), ((1, 1, 2),))]  # needs 4 frames, has 1
         with caplog.at_level(logging.WARNING, logger="mhctc.model"):
             _, curve = sgd_train(tiny_model(), data, TrainConfig(epochs=3))
         assert len(curve) == 3 and all(np.isnan(curve))
@@ -181,7 +180,7 @@ class TestSgdTrain:
 
     def test_zero_frame_utterance_is_infeasible(self, caplog):
         # the lattice needs at least one frame, even for an empty transcription
-        data = [(np.zeros((0, 3)), ())]
+        data = [(np.zeros((0, 3)), ((),))]
         with caplog.at_level(logging.WARNING, logger="mhctc.model"):
             _, curve = sgd_train(tiny_model(), data, TrainConfig(epochs=2))
         assert len(curve) == 2 and all(np.isnan(curve))
@@ -198,18 +197,24 @@ class TestSgdTrain:
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_bad_features_raise_even_when_infeasible(self, epochs):
         rng = np.random.default_rng(6)
-        data = [(rng.standard_normal((8, 3)), (1, 2)), (np.zeros((1, 5)), (1, 1, 2))]
+        data = [(rng.standard_normal((8, 3)), ((1, 2),)), (np.zeros((1, 5)), ((1, 1, 2),))]
         with pytest.raises(ShapeError):
             sgd_train(tiny_model(), data, TrainConfig(epochs=epochs))
 
     def test_invalid_label_raises_before_any_epoch(self):
-        data = [(np.zeros((8, 3)), (1, 3))]  # 3 outputs: symbols 1 and 2
+        data = [(np.zeros((8, 3)), ((1, 3),))]  # 3 outputs: symbols 1 and 2
         with pytest.raises(InvalidLabel):
             sgd_train(tiny_model(), data, TrainConfig(epochs=0))
 
+    @pytest.mark.parametrize("target", [(1, 2), ()], ids=["bare-transcription", "empty"])
+    def test_target_not_a_tuple_of_transcriptions_raises(self, target):
+        data = [(np.zeros((8, 3)), target)]
+        with pytest.raises(InvalidInput, match="non-empty tuple of transcriptions"):
+            sgd_train(tiny_model(), data, TrainConfig(epochs=0))
+
     def test_all_infeasible_batches_leave_params_unchanged(self):
-        hs_bad = HypothesisSet(hypotheses=((1,), (2, 2)), source_tags=("a", "b"))
-        data = [(np.zeros((1, 3)), (1, 1, 2)), (np.ones((2, 3)), hs_bad)]
+        hs_bad = ((1,), (2, 2))
+        data = [(np.zeros((1, 3)), ((1, 1, 2),)), (np.ones((2, 3)), hs_bad)]
         m = tiny_model()
         out, curve = sgd_train(m, data, TrainConfig(epochs=2, batch_size=2))
         np.testing.assert_array_equal(flatten(out), flatten(m))
@@ -218,11 +223,11 @@ class TestSgdTrain:
     def test_infeasible_utterances_leave_the_batch_as_its_feasible_subset(self):
         rng = np.random.default_rng(4)
         data = [
-            (rng.standard_normal((8, 3)), (1, 2)),
-            (rng.standard_normal((2, 3)), (1, 1, 2)),  # needs 4 frames
-            (rng.standard_normal((6, 3)), HypothesisSet(((1, 2), (2,)), ("a", "b"))),
-            (rng.standard_normal((3, 3)), HypothesisSet(((1,), (2, 2, 2)), ("a", "b"))),
-            (rng.standard_normal((7, 3)), (2,)),
+            (rng.standard_normal((8, 3)), ((1, 2),)),
+            (rng.standard_normal((2, 3)), ((1, 1, 2),)),  # needs 4 frames
+            (rng.standard_normal((6, 3)), ((1, 2), (2,))),
+            (rng.standard_normal((3, 3)), ((1,), (2, 2, 2))),
+            (rng.standard_normal((7, 3)), ((2,),)),
         ]
         cfg = TrainConfig(epochs=1, batch_size=len(data), seed=5)
         mixed, mixed_curve = sgd_train(tiny_model(), data, cfg)

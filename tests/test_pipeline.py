@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -14,9 +15,10 @@ from mhctc.ctc import ctc_loss
 from mhctc.decode import MAX_BEAM_WIDTH
 from mhctc.errors import ConfigError
 from mhctc.features import FeatureConfig, cmn, extract
-from mhctc.mh import HypothesisSet, mh_ctc_loss
-from mhctc.model import forward, load_checkpoint
+from mhctc.mh import mh_ctc_loss
+from mhctc.model import TrainConfig, forward, load_checkpoint, sgd_train
 from mhctc.pipeline import (
+    CONDITION_TARGETS,
     CONDITIONS,
     ExperimentPlan,
     System,
@@ -231,16 +233,15 @@ class TestConditionDatasets:
         cache, sys_a, split, hyps = self._setup()
         data = condition_dataset("supervised-all", split, hyps, hyps, sys_a, cache)
         assert len(data) == 10
-        truths = [u.labels for u in split.unlabeled]
+        truths = [(u.labels,) for u in split.unlabeled]
         assert [t for _, t in data[4:]] == truths
 
     def test_mh_targets_are_hypothesis_sets(self):
         cache, sys_a, split, hyps = self._setup()
         data = condition_dataset("mh-ctc", split, hyps, hyps, sys_a, cache)
         manual, pseudo = data[:4], data[4:]
-        assert [t for _, t in manual] == [u.labels for u in split.labeled]
-        assert all(isinstance(t, HypothesisSet) and len(t.hypotheses) == 2 for _, t in pseudo)
-        assert pseudo[0][1].source_tags == ("sysA", "sysB")
+        assert [t for _, t in manual] == [(u.labels,) for u in split.labeled]
+        assert [t for _, t in pseudo] == [((1, 2), (1, 2))] * len(pseudo)
 
     def test_condition_order(self):
         # the report lists conditions in this order
@@ -254,13 +255,13 @@ class TestConditionDatasets:
         hyps_b = {u.id: (2, 2) for u in split.unlabeled}
         want = {
             "supervised-labeled": [],
-            "supervised-all": [u.labels for u in split.unlabeled],
-            "semi-sup-A": [(1,)] * 6,
-            "semi-sup-B": [(2, 2)] * 6,
-            "mh-ctc": [HypothesisSet(((1,), (2, 2)), ("sysA", "sysB"))] * 6,
+            "supervised-all": [(u.labels,) for u in split.unlabeled],
+            "semi-sup-A": [((1,),)] * 6,
+            "semi-sup-B": [((2, 2),)] * 6,
+            "mh-ctc": [((1,), (2, 2))] * 6,
         }[condition]
         data = condition_dataset(condition, split, hyps_a, hyps_b, sys_a, cache)
-        assert [t for _, t in data] == [u.labels for u in split.labeled] + want
+        assert [t for _, t in data] == [(u.labels,) for u in split.labeled] + want
 
     def test_feature_cache_keys_on_the_front_end(self):
         # two front ends of one kind share a cache; each must get its own features
@@ -277,9 +278,9 @@ class TestConditionDatasets:
         assert a.id == b.id
         system = System(name="a", feature_cfg=FeatureConfig(), params=None)
         data = labeled_data(system, [a, b], {})
-        for (x, labels), u in zip(data, (a, b)):
+        for (x, target), u in zip(data, (a, b)):
             assert x.tobytes() == cmn(extract(u, system.feature_cfg)).tobytes()
-            assert labels == u.labels
+            assert target == (u.labels,)
 
     def test_missing_hypothesis_id_is_named(self):
         cache, sys_a, split, hyps = self._setup()
@@ -295,10 +296,24 @@ class TestConditionDatasets:
         cache, sys_a, split, hyps = self._setup()
         mh = condition_dataset("mh-ctc", split, hyps, hyps, sys_a, cache)
         single = condition_dataset("semi-sup-A", split, hyps, hyps, sys_a, cache)
-        for (x, hs), (_, labels) in zip(mh[4:], single[4:]):
+        for (x, hs), (_, (labels,)) in zip(mh[4:], single[4:]):
             logp = forward(sys_a.params, x)
             combined = mh_ctc_loss(logp, hs).loss
             assert combined == pytest.approx(2.0 * ctc_loss(logp, labels).loss, rel=1e-12)
+
+    def test_a_condition_may_repeat_a_source(self, monkeypatch):
+        # a repeated source is one hypothesis counted twice, with no code of its own
+        monkeypatch.setitem(CONDITION_TARGETS, "mh-AA", ("sysA", "sysA"))
+        cache, sys_a, split, hyps_a = self._setup()
+        hyps_b = {u.id: (2, 2) for u in split.unlabeled}
+        data = condition_dataset("mh-AA", split, hyps_a, hyps_b, sys_a, cache)
+        assert [t for _, t in data[4:]] == [(hyps_a[u.id], hyps_a[u.id]) for u in split.unlabeled]
+        for x, target in data[4:]:
+            logp = forward(sys_a.params, x)
+            doubled = mh_ctc_loss(logp, target).loss
+            assert doubled == pytest.approx(2.0 * ctc_loss(logp, target[0]).loss, rel=1e-12)
+        _, curve = sgd_train(sys_a.params, data, TrainConfig(epochs=1))
+        assert len(curve) == 1 and math.isfinite(curve[0])
 
 
 class TestAdaptationConditions:
