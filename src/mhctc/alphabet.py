@@ -6,6 +6,7 @@ contain the blank.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .errors import InvalidLabel
 
@@ -43,15 +44,19 @@ class LabelAlphabet:
 
     def decode(self, labels):
         """Map a transcription back to a string."""
-        validate_transcription(labels, self.n_symbols)
-        return "".join(self.symbols[i - 1] for i in labels)
+        return "".join(self.symbols[i - 1] for i in validate_transcription(labels, self.n_symbols))
 
 
 def validate_transcription(labels, n_symbols):
-    """Check every index lies in [1, n_symbols]; blank never appears."""
+    """``labels`` as a tuple of ints, each an int or numpy integer in [1, n_symbols].
+
+    Anything else, a bool, a float or the blank included, raises InvalidLabel.
+    """
+    out = []
     for i in labels:
-        if not (1 <= int(i) <= n_symbols):
-            raise InvalidLabel(
-                f"label index {i} outside [1, {n_symbols}] (blank is reserved)"
-            )
-    return tuple(int(i) for i in labels)
+        # an int or numpy integer; np.bool_ is no Integral, but bool is an int
+        v = int(i) if isinstance(i, Integral) and type(i) is not bool else 0
+        if not 1 <= v <= n_symbols:
+            raise InvalidLabel(f"label {i!r} is not an index in [1, {n_symbols}] (0 is blank)")
+        out.append(v)
+    return tuple(out)

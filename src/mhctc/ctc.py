@@ -69,20 +69,29 @@ def check_logp(logp):
     return logp
 
 
-def check_labels(shape, labels, prefix=""):
-    """``labels`` as a tuple of indices into the K - 1 symbols of a T x K output.
+def target_labels(shape, hypotheses):
+    """Lattice rows of a target, a tuple of transcriptions, for a T x K output.
 
-    Raises InfeasibleAlignment, its message led by ``prefix``, when
-    T < min_frames(labels) or T == 0: the lattice has at least one frame.
+    Every label is an index into the K - 1 symbols (``validate_transcription``).
+    A hypothesis needs max(min_frames, 1) frames, as the lattice has at least
+    one; fewer raise InfeasibleAlignment, whose message names the hypothesis's
+    index when there are two or more.
     """
     T, K = shape
-    labels = validate_transcription(labels, K - 1)
-    need = max(min_frames(labels), 1)
-    if T < need:
-        raise InfeasibleAlignment(
-            f"{prefix}transcription needs at least {need} frames, got {T}"
-        )
-    return labels
+    try:
+        hyps = [validate_transcription(h, K - 1) for h in hypotheses]
+    except TypeError:  # a hypothesis that is not a sequence, as in a bare transcription
+        hyps = []
+    if not hyps:
+        raise InvalidInput(
+            f"a target is a non-empty tuple of transcriptions, got {hypotheses!r:.60}")
+    for i, labels in enumerate(hyps):
+        need = max(min_frames(labels), 1)
+        if T < need:
+            prefix = f"hypothesis {i} infeasible: " if len(hyps) > 1 else ""
+            raise InfeasibleAlignment(
+                f"{prefix}transcription needs at least {need} frames, got {T}")
+    return hyps
 
 
 def ctc_lattice(logps, targets):
@@ -91,7 +100,7 @@ def ctc_lattice(logps, targets):
     ``logps`` are T x K log-probability matrices of one K (``check_logp``,
     or the model's log-softmax output in ``sgd_train``);
     ``targets[u]`` lists utterance u's checked transcriptions
-    (``check_labels``), one per hypothesis.  Returns one LossResult per
+    (``target_labels``), one per hypothesis.  Returns one LossResult per
     utterance, whose gradient sums its hypotheses' gradients in order.
 
     A row is two -inf pad columns, then its states, padded with -inf
@@ -174,7 +183,7 @@ def ctc_loss(logp, labels):
     Raises InfeasibleAlignment when T < min_frames(labels).
     """
     lp = check_logp(logp)
-    return ctc_lattice([lp], [[check_labels(lp.shape, labels)]])[0]
+    return ctc_lattice([lp], [target_labels(lp.shape, (labels,))])[0]
 
 
 def logits_gradient(logp, grad_logp):

@@ -16,7 +16,7 @@ class MhctcError(Exception):
 
 
 class InvalidLabel(MhctcError):
-    """A transcription contains an index outside [1, n_symbols]."""
+    """A label that is not an integer index in [1, n_symbols]."""
 
 
 class InvalidInput(MhctcError):
@@ -29,6 +29,10 @@ class InfeasibleAlignment(MhctcError):
 
 class ShapeError(MhctcError):
     """Array shape does not match the model or operation contract."""
+
+
+class TooLarge(MhctcError):
+    """A model too large to allocate."""
 
 
 class DivergedError(MhctcError):

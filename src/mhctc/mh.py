@@ -8,26 +8,7 @@ duplicate doubles that utterance's gradient weight on purpose).
 """
 
 # perfbench/tracing.py rebinds ctc_loss here
-from .ctc import check_labels, check_logp, ctc_lattice, ctc_loss  # noqa: F401
-from .errors import InvalidInput
-
-
-def target_labels(shape, hypotheses):
-    """Checked transcriptions of a target, a tuple of hypotheses, for a T x K output.
-
-    An infeasible hypothesis raises InfeasibleAlignment; with two or more,
-    the message names its index.
-    """
-    try:
-        hyps = [tuple(h) for h in hypotheses]
-    except TypeError:  # a hypothesis that is not a sequence, as in a bare transcription
-        hyps = []
-    if not hyps:
-        raise InvalidInput(
-            f"a target is a non-empty tuple of transcriptions, got {hypotheses!r:.60}")
-    many = len(hyps) > 1
-    return [check_labels(shape, h, f"hypothesis {i} infeasible: " if many else "")
-            for i, h in enumerate(hyps)]
+from .ctc import check_logp, ctc_lattice, ctc_loss, target_labels  # noqa: F401
 
 
 def mh_ctc_loss(logp, hypotheses):

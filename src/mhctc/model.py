@@ -14,13 +14,13 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 # perfbench/tracing.py rebinds ctc_loss and mh_ctc_loss here
-from .ctc import ctc_lattice, ctc_loss, logits_gradient  # noqa: F401
+from .ctc import ctc_lattice, ctc_loss, logits_gradient, target_labels  # noqa: F401
 from .errors import (
     ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, NonNegative, Positive,
-    ShapeError, check_fields, reals,
+    ShapeError, TooLarge, check_fields, reals,
 )
 from .features import FeatureConfig
-from .mh import mh_ctc_loss, target_labels  # noqa: F401
+from .mh import mh_ctc_loss  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -81,19 +81,26 @@ def _tensor_shapes(config):
 
 
 def init_model(config):
-    """Xavier-uniform initialization, fully determined by config.seed."""
+    """Xavier-uniform initialization, fully determined by config.seed.
+
+    A model too large to allocate raises TooLarge; the config sets no upper bound.
+    """
     rng = np.random.default_rng(config.seed)
     shapes = _tensor_shapes(config)
-    lim1 = np.sqrt(6.0 / sum(shapes["w1"]))
-    lim2 = np.sqrt(6.0 / sum(shapes["w2"]))
-    return ModelParams(
-        config=config,
-        w1=rng.uniform(-lim1, lim1, size=shapes["w1"]),
-        b1=np.zeros(shapes["b1"]),
-        w2=rng.uniform(-lim2, lim2, size=shapes["w2"]),
-        b2=np.zeros(shapes["b2"]),
-        lineage=(f"init:seed={config.seed}",),
-    )
+    try:
+        lim1 = np.sqrt(6.0 / sum(shapes["w1"]))
+        lim2 = np.sqrt(6.0 / sum(shapes["w2"]))
+        return ModelParams(
+            config=config,
+            w1=rng.uniform(-lim1, lim1, size=shapes["w1"]),
+            b1=np.zeros(shapes["b1"]),
+            w2=rng.uniform(-lim2, lim2, size=shapes["w2"]),
+            b2=np.zeros(shapes["b2"]),
+            lineage=(f"init:seed={config.seed}",),
+        )
+    # a size past the memory (MemoryError), past numpy's intp (ValueError) or past a float
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise TooLarge(f"cannot allocate the model: {exc}") from exc
 
 
 def stack_context(x, context):
@@ -153,7 +160,7 @@ def sgd_train(params, dataset, cfg):
     """Mini-batch SGD on the summed loss over each batch.
 
     ``dataset`` is a list of (features, target) pairs; a target is a tuple
-    of one or more transcriptions (``mh.target_labels``), so a batch may
+    of one or more transcriptions (``ctc.target_labels``), so a batch may
     mix N=1 and N>=2 targets.  Every utterance's features and
     target are checked once, before the first epoch; an infeasible
     utterance is logged once and left out of every batch.  A batch whose

@@ -576,7 +576,7 @@ def test_bad_plan_value_fails_before_the_grid(tmp_path, capsys, field, value, me
 
 
 @pytest.mark.parametrize("field,value,error", [
-    ("hidden", 10**20, "ValueError: Maximum allowed dimension exceeded"),
+    ("hidden", 10**20, "TooLarge: cannot allocate the model: Maximum allowed dimension exceeded"),
     ("n_train", 10**20, "OverflowError: Python int too large to convert to C ssize_t"),
     ("split_sizes", [1, 1, 10**20], "OverflowError: Python int too large to convert to C ssize_t"),
     ("len_range", [2, 10**20], "ValueError: high is out of bounds for int64"),
@@ -784,6 +784,21 @@ def test_divergence_is_a_stage_failure(ws, tmp_path, capsys, caplog, command):
     err = capsys.readouterr().err
     assert re.fullmatch(r"stage failure: DivergedError: non-finite loss or gradient at epoch \d+\n",
                         err)
+    assert "Traceback" not in err + caplog.text
+    assert not out.exists()
+
+
+# 10**12 hidden units or context frames are petabytes, past any 47-bit address space, so no
+# machine begins the allocation; 10**20 is past numpy's largest dimension, 10**400 past a float
+@pytest.mark.parametrize("flag,value", [("--hidden", 10**12), ("--context", 10**12),
+                                        ("--hidden", 10**20), ("--hidden", 10**400)],
+                         ids=["hidden", "context", "hidden-past-intp", "hidden-past-float"])
+def test_model_no_machine_can_hold_is_a_stage_failure(ws, tmp_path, capsys, caplog, flag, value):
+    out = tmp_path / "m.ckpt"
+    assert run("train", "--corpus", ws / "lab/manifest.json", "--out", out, "--epochs", 0,
+               flag, value) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"stage failure: TooLarge: cannot allocate the model: [^\n]*\n", err)
     assert "Traceback" not in err + caplog.text
     assert not out.exists()
 

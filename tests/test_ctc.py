@@ -3,21 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from mhctc.alphabet import BLANK
+from mhctc.alphabet import BLANK, LabelAlphabet
 from mhctc.ctc import (
-    check_labels,
     check_logp,
     ctc_lattice,
     ctc_loss,
     expand_labels,
     logits_gradient,
     min_frames,
+    target_labels,
 )
 from mhctc.errors import (
     InfeasibleAlignment,
     InvalidInput,
     InvalidLabel,
 )
+from mhctc.decode import greedy_decode
+from mhctc.mh import mh_ctc_loss
+from mhctc.model import ModelConfig, TrainConfig, init_model, sgd_train
 
 from helpers import (
     OracleTooLarge,
@@ -45,7 +48,7 @@ class TestExpandLabels:
     def test_out_of_range(self):
         # labels are validated before expansion, against a T x K output's K - 1 symbols
         with pytest.raises(InvalidLabel):
-            check_labels((4, 3), [3])
+            target_labels((4, 3), ([3],))
 
 
 class TestMinFrames:
@@ -55,6 +58,34 @@ class TestMinFrames:
     )
     def test_values(self, labels, expected):
         assert min_frames(labels) == expected
+
+
+class TestLabels:
+    # each is one label of a transcription; 2.0 and True would pass as 2 and 1 if truncated
+    @pytest.mark.parametrize("label", [1.5, np.float64(2.0), True, "a", (1, 2), None], ids=repr)
+    @pytest.mark.parametrize("entry", ["ctc_loss", "mh_ctc_loss", "sgd_train", "decode"])
+    def test_malformed_label_is_invalid(self, entry, label):
+        logp = norm_rows(np.zeros((4, 3)))
+        model = init_model(ModelConfig(feat_dim=2, n_outputs=3, context=0, hidden=2))
+        calls = {
+            "ctc_loss": lambda: ctc_loss(logp, (label,)),
+            "mh_ctc_loss": lambda: mh_ctc_loss(logp, ((label,),)),
+            "sgd_train": lambda: sgd_train(model, [(np.zeros((4, 2)), ((label,),))],
+                                           TrainConfig(epochs=0)),
+            "decode": lambda: LabelAlphabet(("a", "b")).decode((label,)),
+        }
+        with pytest.raises(InvalidLabel) as exc:
+            calls[entry]()
+        assert repr(label) in str(exc.value)
+
+    def test_numpy_integers_are_labels(self):
+        # greedy_decode's labels are np.int64; they train exactly as Python ints do
+        logp = norm_rows(np.random.default_rng(4).standard_normal((12, 4)) * 3)
+        labels = greedy_decode(logp).labels
+        assert labels and all(type(v) is np.int64 for v in labels)
+        ints = tuple(int(v) for v in labels)
+        assert ctc_loss(logp, labels).loss == ctc_loss(logp, ints).loss
+        assert mh_ctc_loss(logp, (labels, ints)).loss == 2 * ctc_loss(logp, ints).loss
 
 
 class TestCtcLoss:
@@ -208,7 +239,7 @@ class TestLattice:
                 scale = float(rng.choice([0.3, 2.0, 30.0]))
                 logp = check_logp(norm_rows(rng.standard_normal((T, K)) * scale))
                 logps.append(logp)
-                targets.append([check_labels(logp.shape, h) for h in hyps])
+                targets.append(target_labels(logp.shape, hyps))
             for logp, hyps, res in zip(logps, targets, ctc_lattice(logps, targets)):
                 refs = [ctc_loss_reference(logp, h) for h in hyps]
                 assert res.per_hypothesis == [r.loss for r in refs]
