@@ -15,13 +15,15 @@ BLANK = 0
 
 @dataclass(frozen=True)
 class LabelAlphabet:
-    """Ordered set of output symbols, blank excluded."""
+    """Ordered set of one-character output symbols, blank excluded."""
 
     symbols: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         syms = tuple(self.symbols)
         object.__setattr__(self, "symbols", syms)
+        if not all(isinstance(s, str) and len(s) == 1 for s in syms):
+            raise InvalidLabel(f"alphabet symbols must be one-character strings, got {list(syms)}")
         if len(set(syms)) != len(syms):
             raise InvalidLabel("alphabet symbols must be unique")
 

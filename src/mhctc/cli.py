@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .alphabet import LabelAlphabet
+from .alphabet import LabelAlphabet, validate_transcription
 from .audio import NOISE_KINDS, SynthConfig, load_corpus, save_corpus, synth_corpus
 from .blas import pin_one_thread
 from .decode import DECODE_MODES, DecodeConfig, decode
@@ -30,7 +30,6 @@ from .pipeline import (
     CONDITIONS,
     AdaptationSplit,
     ExperimentPlan,
-    System,
     condition_dataset,
     decode_set,
     failed_cells,
@@ -107,13 +106,19 @@ def build_parser():
     return parser
 
 
-def _load_hyps(path):
+def _load_hyps(path, n_symbols=None):
+    """An id -> labels file; with ``n_symbols``, each label an index of that alphabet."""
     data = json.loads(read_text(path))
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object of id -> label list")
     for uid, labels in data.items():
         if not isinstance(labels, list) or any(type(v) is not int for v in labels):
             raise ConfigError(f"{path}: labels of {uid!r} must hold integers, got {labels!r}")
+        if n_symbols is not None:
+            try:
+                validate_transcription(labels, n_symbols)
+            except InvalidLabel as exc:
+                raise ConfigError(f"{path}: labels of {uid!r}: {exc}") from None
     return {uid: tuple(labels) for uid, labels in data.items()}
 
 
@@ -133,7 +138,7 @@ def cmd_train(args):
     system = init_system("cli", fcfg, alphabet.n_outputs, args.context, args.hidden, args.seed)
     step = f"cli-train:{args.features}:seed={args.seed}"
     system = train_system(system, labeled_data(system, corpus, {}), train_cfg, step)
-    save_checkpoint(system.params, args.out, fcfg, alphabet_symbols=alphabet.symbols)
+    save_checkpoint(system, args.out, alphabet.symbols)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
 
@@ -157,8 +162,7 @@ def _load_utts(path, symbols):
 
 def cmd_adapt(args):
     sources = CONDITION_TARGETS[args.condition]  # None: no adaptation
-    params, symbols, fcfg = load_checkpoint(args.ckpt)
-    system = System(name="cli", feature_cfg=fcfg, params=params)
+    system, symbols = load_checkpoint(args.ckpt)
     if sources is not None:
         # --labeled when every target is manual, one flag per other source
         needs = {"labeled": set(sources) <= {"truth"}, "unlabeled": bool(sources),
@@ -169,21 +173,20 @@ def cmd_adapt(args):
             raise ConfigError(f"{args.condition} requires {flags}")
         split = AdaptationSplit(labeled=_load_utts(args.labeled, symbols),
                                 unlabeled=_load_utts(args.unlabeled, symbols), test=[])
-        hyps_a = _load_hyps(args.hyps_a) if args.hyps_a else {}
-        hyps_b = _load_hyps(args.hyps_b) if args.hyps_b else {}
+        hyps_a = _load_hyps(args.hyps_a, len(symbols)) if args.hyps_a else {}
+        hyps_b = _load_hyps(args.hyps_b, len(symbols)) if args.hyps_b else {}
         data = condition_dataset(args.condition, split, hyps_a, hyps_b, system, {})
         step = f"cli-adapt:{args.condition}:seed={args.seed}"
         system = train_system(system, data, _config_from(args, TrainConfig), step)
-    save_checkpoint(system.params, args.out, fcfg, alphabet_symbols=symbols)
+    save_checkpoint(system, args.out, symbols)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
 
 
 def cmd_decode(args):
     dcfg = DecodeConfig(beam_width=args.beam_width, mode=args.mode)
-    params, symbols, fcfg = load_checkpoint(args.ckpt)
+    system, symbols = load_checkpoint(args.ckpt)
     corpus = _load_utts(args.corpus, symbols)
-    system = System(name="cli", feature_cfg=fcfg, params=params)
     hyps = decode_set(system, corpus, lambda logp: decode(logp, dcfg), {})
     out = {uid: [int(v) for v in labels] for uid, labels in hyps.items()}
     Path(args.out).write_text(json.dumps(out, indent=2, sort_keys=True))

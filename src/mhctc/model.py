@@ -10,14 +10,16 @@ corpus.
 import json
 import logging
 from dataclasses import dataclass, asdict, replace
+from pathlib import Path
 
 import numpy as np
 
+from .alphabet import LabelAlphabet
 # perfbench/tracing.py rebinds ctc_loss and mh_ctc_loss here
 from .ctc import ctc_lattice, ctc_loss, logits_gradient, target_labels  # noqa: F401
 from .errors import (
-    ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, NonNegative, Positive,
-    ShapeError, TooLarge, check_fields, reals,
+    ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, InvalidLabel, NonNegative,
+    Positive, ShapeError, TooLarge, check_fields, reals,
 )
 from .features import FeatureConfig
 from .mh import mh_ctc_loss  # noqa: F401
@@ -25,7 +27,7 @@ from .mh import mh_ctc_loss  # noqa: F401
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"MHCTCKP1"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 CHECKPOINT_KEYS = {"version", "config", "features", "alphabet", "lineage"}
 
 
@@ -55,6 +57,15 @@ class ModelParams:
 
     def tensors(self):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+
+
+@dataclass
+class System:
+    """A trained model and the front end it reads; a checkpoint holds one."""
+
+    name: str
+    feature_cfg: FeatureConfig
+    params: ModelParams
 
 
 @dataclass
@@ -226,18 +237,19 @@ def format_curve(curve):
     return f"{curve[0]:.3f} -> {curve[-1]:.3f}"
 
 
-def save_checkpoint(params, path, feature_cfg, alphabet_symbols):
+def save_checkpoint(system, path, alphabet_symbols):
     """Deterministic binary container: magic, JSON header, raw tensor bytes.
 
-    The header records the model config and the front end the model was
-    trained on, so loading a checkpoint is enough to extract matching
-    features.  The float64 tensors follow in ``ModelParams.tensors`` order,
-    their shapes given by the config.
+    The header records the front end the model was trained on and its
+    alphabet, which give the model's input and output sizes, so loading a
+    checkpoint is enough to extract matching features.  The float64 tensors
+    follow in ``ModelParams.tensors`` order, their shapes given by the config.
     """
+    params = system.params
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": asdict(params.config),
-        "features": asdict(feature_cfg),
+        "config": {k: getattr(params.config, k) for k in ("context", "hidden", "seed")},
+        "features": asdict(system.feature_cfg),
         "alphabet": list(alphabet_symbols),
         "lineage": list(params.lineage),
     }
@@ -281,27 +293,21 @@ def _read_header(data, path):
 def load_checkpoint(path):
     """Inverse of save_checkpoint; bit-exact round trip.
 
-    Returns (params, alphabet symbols, FeatureConfig).  A malformed,
-    truncated or inconsistent file raises InvalidInput.
+    Returns (system named after the file, alphabet symbols).  The model's
+    input size is the front end's dimension and its output size the
+    alphabet's.  A malformed, truncated or inconsistent file raises
+    InvalidInput.
     """
     with open(path, "rb") as f:
         data = f.read()
     header, offset = _read_header(data, path)
     try:
-        config = ModelConfig(**header["config"])
+        alphabet = LabelAlphabet(tuple(header["alphabet"]))
         feature_cfg = FeatureConfig(**header["features"])
-    except (TypeError, ConfigError) as exc:
+        config = ModelConfig(feat_dim=feature_cfg.dim, n_outputs=alphabet.n_outputs,
+                             **header["config"])
+    except (TypeError, ConfigError, InvalidLabel) as exc:
         raise InvalidInput(f"{path}: bad checkpoint config: {exc}") from exc
-    if feature_cfg.dim != config.feat_dim:
-        raise InvalidInput(
-            f"{path}: {feature_cfg.kind} features are {feature_cfg.dim}-dim,"
-            f" the model expects {config.feat_dim}"
-        )
-    if len(header["alphabet"]) + 1 != config.n_outputs:
-        raise InvalidInput(
-            f"{path}: an alphabet of {len(header['alphabet'])} symbols needs"
-            f" {len(header['alphabet']) + 1} outputs, the model has {config.n_outputs}"
-        )
     tensors = {}
     for name, shape in _tensor_shapes(config).items():
         nbytes = 8 * int(np.prod(shape))
@@ -315,4 +321,4 @@ def load_checkpoint(path):
     if offset != len(data):
         raise InvalidInput(f"{path}: {len(data) - offset} trailing bytes after the last tensor")
     params = ModelParams(config=config, lineage=tuple(header["lineage"]), **tensors)
-    return params, tuple(header["alphabet"]), feature_cfg
+    return System(name=Path(path).stem, feature_cfg=feature_cfg, params=params), alphabet.symbols

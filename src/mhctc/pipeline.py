@@ -39,6 +39,7 @@ from .errors import ConfigError, NonNegative, Positive, check_fields, choices, i
 from .features import FeatureConfig, cmn, extract
 from .model import (
     ModelConfig,
+    System,
     TrainConfig,
     format_curve,
     forward,
@@ -126,13 +127,6 @@ class ExperimentPlan:
     def config_hash(self):
         blob = json.dumps(asdict(self), sort_keys=True, default=list)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-@dataclass
-class System:
-    name: str
-    feature_cfg: FeatureConfig
-    params: object
 
 
 def make_splits(corpus, sizes, seed):
@@ -307,8 +301,7 @@ def run_scenario_seed(plan, scenario, seed, run_dir):
         adapted = run_adaptation_condition(
             condition, sys_a, split, hyps_a, hyps_b, plan, seed, cache)
         wer, cer = evaluate(adapted, split.test, plan, cache)
-        save_checkpoint(adapted.params, cell_dir / f"{condition}.ckpt", adapted.feature_cfg,
-                        alphabet_symbols=alphabet.symbols)
+        save_checkpoint(adapted, cell_dir / f"{condition}.ckpt", alphabet.symbols)
         return {
             "wer": round(wer.wer, 4),
             "cer": round(cer.wer, 4),

@@ -108,7 +108,8 @@ def test_synth_flag_defaults_are_synth_configs_and_the_plans(tmp_path):
 
 
 def test_ste_checkpoint_decodes_with_ste_features(ws):
-    params, _, fcfg = load_checkpoint(ws / "ste.ckpt")
+    system, _ = load_checkpoint(ws / "ste.ckpt")
+    params, fcfg = system.params, system.feature_cfg
     assert fcfg == FeatureConfig(kind="ste", n_bands=12)
     corpus, _ = load_corpus(ws / "unlab/manifest.json")
     cfg = DecodeConfig(beam_width=4)
@@ -126,11 +127,13 @@ def test_ste_checkpoint_decodes_with_ste_features(ws):
 def test_adapt_each_condition_keeps_front_end(ws, condition):
     out = ws / f"{condition}.ckpt"
     assert adapt(ws, condition, out, **all_inputs(ws)) == EXIT_OK
-    params, symbols, fcfg = load_checkpoint(out)
-    assert fcfg == FeatureConfig(kind="ste", n_bands=12)
+    system, symbols = load_checkpoint(out)
+    assert system.feature_cfg == FeatureConfig(kind="ste", n_bands=12)
     assert symbols == tuple("abcde")
-    if condition != "no-adapt":
-        assert params.lineage[-1] == f"cli-adapt:{condition}:seed=3"
+    if condition == "no-adapt":  # the checkpoint is written back unchanged
+        assert out.read_bytes() == (ws / "ste.ckpt").read_bytes()
+    else:
+        assert system.params.lineage[-1] == f"cli-adapt:{condition}:seed=3"
 
 
 def test_adapt_matches_in_process_training(ws):
@@ -139,11 +142,11 @@ def test_adapt_matches_in_process_training(ws):
     out = ws / "check.ckpt"
     assert adapt(ws, "supervised-all", out, labeled=ws / "lab/manifest.json",
                  unlabeled=ws / "unlab/manifest.json") == EXIT_OK
-    params, _, fcfg = load_checkpoint(ws / "ste.ckpt")
+    system, _ = load_checkpoint(ws / "ste.ckpt")
     utts = load_corpus(ws / "lab/manifest.json")[0] + load_corpus(ws / "unlab/manifest.json")[0]
-    data = [(cmn(ste(u, fcfg)), (u.labels,)) for u in utts]
-    want, _ = sgd_train(params, data, TrainConfig(learning_rate=0.01, epochs=1, seed=3))
-    got, _, _ = load_checkpoint(out)
+    data = [(cmn(ste(u, system.feature_cfg)), (u.labels,)) for u in utts]
+    want, _ = sgd_train(system.params, data, TrainConfig(learning_rate=0.01, epochs=1, seed=3))
+    got = load_checkpoint(out)[0].params
     for k, v in want.tensors().items():
         np.testing.assert_array_equal(got.tensors()[k], v)
 
@@ -174,8 +177,8 @@ def test_zero_epochs_writes_unchanged_model(ws, tmp_path):
     assert run("adapt", "--ckpt", out, "--condition", "supervised-labeled",
                "--labeled", ws / "lab/manifest.json", "--out", tmp_path / "a.ckpt",
                "--epochs", 0) == EXIT_OK
-    first, _, _ = load_checkpoint(out)
-    second, _, _ = load_checkpoint(tmp_path / "a.ckpt")
+    first = load_checkpoint(out)[0].params
+    second = load_checkpoint(tmp_path / "a.ckpt")[0].params
     for k, v in first.tensors().items():
         np.testing.assert_array_equal(second.tensors()[k], v)
 
@@ -207,9 +210,16 @@ def as_v1(header):
 
 
 def as_v2(header):
+    as_v3(header)
     header["version"] = 2
     header["features"].update(frame_ms=25.0, hop_ms=10.0, add_deltas=True, fmin=100.0,
                               env_cutoff_hz=30.0)
+
+
+def as_v3(header):
+    """Version 3 also stored the model's input and output sizes in its config."""
+    header["version"] = 3
+    header["config"].update(feat_dim=36, n_outputs=6)
 
 
 # damage to a checkpoint's bytes and the message it must be refused with
@@ -217,13 +227,22 @@ BAD_CHECKPOINTS = {
     "truncated": (lambda data: data[:3000], "truncated"),
     "v1": (header_edit(as_v1), "version 1 is not supported"),
     "v2": (header_edit(as_v2), "version 2 is not supported"),
+    "v3": (header_edit(as_v3), "version 3 is not supported"),
     "extra-feature-key": (header_edit(lambda h: h["features"].update(fmin=80.0)),
                           "bad checkpoint config: .*'fmin'"),
+    # an alphabet or front end the tensors do not fit leaves bytes over
     "alphabet-size": (header_edit(lambda h: h.update(alphabet=["a", "b"])),
-                      "an alphabet of 2 symbols needs 3 outputs, the model has 6"),
+                      "408 trailing bytes after the last tensor"),
     "unknown-key": (header_edit(lambda h: h.update(extra=1)), "unknown keys \\['extra'\\]"),
     "missing-key": (header_edit(lambda h: h.pop("lineage")), "missing keys \\['lineage'\\]"),
-    "dim-mismatch": (header_edit(lambda h: h["features"].update(n_bands=4)), "12-dim"),
+    "dim-mismatch": (header_edit(lambda h: h["features"].update(n_bands=4)),
+                     "27648 trailing bytes after the last tensor"),
+    "alphabet-repeat": (header_edit(lambda h: h.update(alphabet=list("aacde"))),
+                        "bad checkpoint config: alphabet symbols must be unique"),
+    "alphabet-long-symbol": (header_edit(lambda h: h["alphabet"].__setitem__(0, "ab")),
+                             "bad checkpoint config: alphabet symbols must be one-character"),
+    "alphabet-empty-symbol": (header_edit(lambda h: h["alphabet"].__setitem__(0, "")),
+                              "bad checkpoint config: alphabet symbols must be one-character"),
     "wrong-magic": (lambda data: b"MHCTCKP0" + data[8:], "not a checkpoint file"),
     "header-not-json": (lambda data: replace_header(data, b"{kind: ste}"),
                         "unreadable checkpoint header"),
@@ -270,9 +289,9 @@ def test_train_band_count_follows_the_front_end(ws, tmp_path, features, flags, w
     ["adapt", "--condition", "supervised-labeled"],
 ], ids=["decode-beam", "decode-greedy", "adapt"])
 def test_non_finite_checkpoint_tensor_is_a_config_error(ws, tmp_path, capsys, argv):
-    params, symbols, fcfg = load_checkpoint(ws / "ste.ckpt")
-    params.w2[:] = np.nan
-    save_checkpoint(params, tmp_path / "nan.ckpt", fcfg, alphabet_symbols=symbols)
+    system, symbols = load_checkpoint(ws / "ste.ckpt")
+    system.params.w2[:] = np.nan
+    save_checkpoint(system, tmp_path / "nan.ckpt", symbols)
     out = tmp_path / "out"
     inputs = ["--corpus", ws / "unlab/manifest.json"] if argv[0] == "decode" else [
         "--labeled", ws / "lab/manifest.json", *ADAPT_TRAIN]
@@ -416,6 +435,22 @@ def test_malformed_hypothesis_file_is_a_config_error(ws, tmp_path, capsys, hyps,
     assert run("score", "--ref", ws / "hypsA.json", "--hyp", bad) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err and str(bad) in err
+
+
+@pytest.mark.parametrize("label", [9, 0])
+def test_hypothesis_outside_the_alphabet_is_a_config_error(ws, tmp_path, capsys, label):
+    hyps = json.loads((ws / "hypsA.json").read_text())
+    uid = sorted(hyps)[2]
+    hyps[uid] = [label]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(hyps))
+    out = tmp_path / "a.ckpt"
+    assert adapt(ws, "semi-sup-A", out, unlabeled=ws / "unlab/manifest.json", hyps_a=bad) == (
+        EXIT_CONFIG)
+    err = capsys.readouterr().err
+    assert err == (f"configuration error: {bad}: labels of {uid!r}: label {label} is not an"
+                   " index in [1, 5] (0 is blank)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["decode", "train", "adapt", "decode-out", "score",

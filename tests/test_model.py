@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -8,6 +9,7 @@ from mhctc.errors import DivergedError, InvalidInput, InvalidLabel, ShapeError
 from mhctc.features import FeatureConfig
 from mhctc.model import (
     ModelConfig,
+    System,
     TrainConfig,
     forward,
     init_model,
@@ -247,17 +249,22 @@ class TestCheckpoint:
         m = with_lineage(tiny_model(seed=5), "test-stage")
         path = tmp_path / "m.ckpt"
         fcfg = FeatureConfig(kind="ste", n_bands=1)
-        save_checkpoint(m, path, fcfg, alphabet_symbols=("a", "b"))
-        loaded, symbols, loaded_fcfg = load_checkpoint(path)
+        save_checkpoint(System(name="a", feature_cfg=fcfg, params=m), path, ("a", "b"))
+        loaded, symbols = load_checkpoint(path)
         assert symbols == ("a", "b")
-        assert loaded_fcfg == fcfg
-        assert loaded.config == m.config
-        assert loaded.lineage == m.lineage
-        np.testing.assert_array_equal(flatten(loaded), flatten(m))
+        assert loaded.name == "m"
+        assert loaded.feature_cfg == fcfg
+        assert loaded.params.config == m.config
+        assert loaded.params.lineage == m.lineage
+        np.testing.assert_array_equal(flatten(loaded.params), flatten(m))
+        # the model's input and output sizes are stored once, as the front end and the alphabet
+        data = path.read_bytes()
+        header = json.loads(data[16 : 16 + int.from_bytes(data[8:16], "little")])
+        assert header["config"] == {"context": 1, "hidden": 5, "seed": 5}
 
     def test_byte_identical_rewrites(self, tmp_path):
-        m = tiny_model(seed=6)
+        system = System(name="a", feature_cfg=FeatureConfig(n_bands=1), params=tiny_model(seed=6))
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(m, p1, FeatureConfig(n_bands=1), alphabet_symbols=("a", "b"))
-        save_checkpoint(m, p2, FeatureConfig(n_bands=1), alphabet_symbols=("a", "b"))
+        save_checkpoint(system, p1, ("a", "b"))
+        save_checkpoint(system, p2, ("a", "b"))
         assert p1.read_bytes() == p2.read_bytes()

@@ -348,10 +348,10 @@ class TestScenarioAndReport:
         assert set(out["pseudo_label_wer"]) == {"sysA", "sysB"}
         ckpts = sorted(p.name for p in (tmp_path / "clean-train" / "seed0").glob("*.ckpt"))
         assert ckpts == sorted(f"{c}.ckpt" for c in CONDITIONS)
-        params, symbols, fcfg = load_checkpoint(tmp_path / "clean-train" / "seed0" / "mh-ctc.ckpt")
+        system, symbols = load_checkpoint(tmp_path / "clean-train" / "seed0" / "mh-ctc.ckpt")
         assert symbols == ALPHA.symbols
-        assert fcfg == FeatureConfig(kind="fbank", n_bands=16)
-        assert params.lineage[-1] == "adapt:mh-ctc:seed=0"
+        assert system.feature_cfg == FeatureConfig(kind="fbank", n_bands=16)
+        assert system.params.lineage[-1] == "adapt:mh-ctc:seed=0"
 
     def test_hypotheses_persisted(self, tmp_path):
         run_scenario_seed(TINY, "clean-train", 0, run_dir=tmp_path)
