@@ -15,8 +15,8 @@ import numpy as np
 
 from .alphabet import LabelAlphabet
 from .errors import (
-    ConfigError, InvalidInput, NonNegative, check_fields, check_value, choices, instance, ints,
-    read_text, reals,
+    ConfigError, InvalidInput, InvalidLabel, NonNegative, check_fields, check_value, choices,
+    instance, ints, read_json, reals,
 )
 
 NOISE_KINDS = ("none", "white", "babble", "bandlimited")
@@ -235,13 +235,15 @@ def _read_pcm(path, sample_rate, where):
 def load_corpus(manifest_path):
     """Read a manifest written by save_corpus; utterance ids must be unique."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(read_text(manifest_path))
+    manifest = read_json(manifest_path)
     if not (isinstance(manifest, dict)
-            and all(isinstance(manifest.get(key), list) for key in ("utterances", "alphabet"))
-            and all(isinstance(s, str) and len(s) == 1 for s in manifest["alphabet"])):
+            and all(isinstance(manifest.get(key), list) for key in ("utterances", "alphabet"))):
         raise ConfigError(f'{manifest_path}: a manifest is a JSON object with lists "utterances"'
-                          ' and "alphabet", this one of one-character strings')
-    alphabet = LabelAlphabet(tuple(manifest["alphabet"]))
+                          ' and "alphabet"')
+    try:
+        alphabet = LabelAlphabet(tuple(manifest["alphabet"]))
+    except InvalidLabel as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from None
     corpus, ids = [], set()
     for i, rec in enumerate(manifest["utterances"]):
         kinds = {key: type(rec.get(key)) for key in RECORD_TYPES} if isinstance(rec, dict) else {}

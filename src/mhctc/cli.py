@@ -8,7 +8,9 @@ Subcommands:
   score       score a hypothesis file against a reference file
   experiment  run the full comparison grid from a JSON config
 
-Exit codes: 0 success, 2 configuration error, 3 stage failure.
+Exit codes: 0 success, 2 configuration error, 3 stage failure. A ``ConfigError``
+(``InvalidLabel`` and ``InvalidInput`` are kinds of it) or an unreadable path exits 2;
+any other ``MhctcError`` exits 3.
 """
 
 import argparse
@@ -22,7 +24,7 @@ from .alphabet import LabelAlphabet, validate_transcription
 from .audio import NOISE_KINDS, SynthConfig, load_corpus, save_corpus, synth_corpus
 from .blas import pin_one_thread
 from .decode import DECODE_MODES, DecodeConfig, decode
-from .errors import ConfigError, InvalidInput, InvalidLabel, MhctcError, read_text
+from .errors import ConfigError, InvalidLabel, MhctcError, read_json
 from .features import BANDS, FeatureConfig
 from .model import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -108,7 +110,7 @@ def build_parser():
 
 def _load_hyps(path, n_symbols=None):
     """An id -> labels file; with ``n_symbols``, each label an index of that alphabet."""
-    data = json.loads(read_text(path))
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object of id -> label list")
     for uid, labels in data.items():
@@ -211,7 +213,7 @@ def cmd_score(args):
 def cmd_experiment(args):
     overrides = {}
     if args.config:
-        overrides = json.loads(read_text(args.config))
+        overrides = read_json(args.config)
         if not isinstance(overrides, dict):
             raise ConfigError("experiment config must be a JSON object")
     names = [f.name for f in fields(ExperimentPlan)]
@@ -251,7 +253,7 @@ def main(argv=None):
             raise ConfigError(f"cannot write {out}: it is a directory or its folder does not exist")
         return COMMANDS[args.command](args)
     # an OSError (missing file, a directory given for a file, ...) names its path
-    except (ConfigError, InvalidLabel, InvalidInput, json.JSONDecodeError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MhctcError as exc:

@@ -1,9 +1,10 @@
-"""Exception types shared across the package, the kinds of config fields, and text input.
+"""Exception types shared across the package, the kinds of config fields, and JSON input.
 
 Each config field declares its kind in its annotation, e.g. ``hidden: Positive = 128``;
 the class's ``__post_init__`` calls ``check_fields``, then checks its cross-field rules.
 """
 
+import json
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -15,11 +16,15 @@ class MhctcError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidLabel(MhctcError):
+class ConfigError(MhctcError):
+    """Invalid or inconsistent configuration or input; ``cli`` exits 2 on any kind of it."""
+
+
+class InvalidLabel(ConfigError):
     """A label that is not an integer index in [1, n_symbols]."""
 
 
-class InvalidInput(MhctcError):
+class InvalidInput(ConfigError):
     """Malformed numeric input (non-finite values, unnormalized rows, ...)."""
 
 
@@ -41,10 +46,6 @@ class DivergedError(MhctcError):
 
 class TooShort(MhctcError):
     """Waveform shorter than one analysis frame."""
-
-
-class ConfigError(MhctcError):
-    """Invalid or inconsistent configuration."""
 
 
 class Kind(NamedTuple):
@@ -122,9 +123,11 @@ def check_fields(config):
         object.__setattr__(config, f.name, check_value(f.name, getattr(config, f.name), f.type))
 
 
-def read_text(path):
-    """The contents of a UTF-8 text file; ConfigError naming the file if it is not UTF-8."""
+def read_json(path):
+    """The value a UTF-8 JSON file holds; ConfigError naming the file if it is not one."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    # a RecursionError: arrays or objects nested deeper than the parser's stack
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        what = "UTF-8 text" if isinstance(exc, UnicodeDecodeError) else "JSON"
+        raise ConfigError(f"{path}: not {what}: {exc}") from exc

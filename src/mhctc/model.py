@@ -18,8 +18,8 @@ from .alphabet import LabelAlphabet
 # perfbench/tracing.py rebinds ctc_loss and mh_ctc_loss here
 from .ctc import ctc_lattice, ctc_loss, logits_gradient, target_labels  # noqa: F401
 from .errors import (
-    ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, InvalidLabel, NonNegative,
-    Positive, ShapeError, TooLarge, check_fields, reals,
+    ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, NonNegative, Positive,
+    ShapeError, TooLarge, check_fields, reals,
 )
 from .features import FeatureConfig
 from .mh import mh_ctc_loss  # noqa: F401
@@ -306,7 +306,7 @@ def load_checkpoint(path):
         feature_cfg = FeatureConfig(**header["features"])
         config = ModelConfig(feat_dim=feature_cfg.dim, n_outputs=alphabet.n_outputs,
                              **header["config"])
-    except (TypeError, ConfigError, InvalidLabel) as exc:
+    except (TypeError, ConfigError) as exc:
         raise InvalidInput(f"{path}: bad checkpoint config: {exc}") from exc
     tensors = {}
     for name, shape in _tensor_shapes(config).items():

@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mhctc import pipeline
+from mhctc import cli, pipeline
 from mhctc.alphabet import LabelAlphabet
 from mhctc.audio import SynthConfig, load_corpus, save_corpus
 from mhctc.blas import openblas
 from mhctc.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, _config_from, build_parser, main
 from mhctc.decode import DecodeConfig, beam_decode
-from mhctc.errors import InvalidInput
+from mhctc.errors import ConfigError, InvalidInput, MhctcError
 from mhctc.features import FeatureConfig, cmn, fbank, ste
 from mhctc.model import TrainConfig, forward, load_checkpoint, save_checkpoint, sgd_train
 from mhctc.pipeline import ExperimentPlan
@@ -302,21 +302,46 @@ def test_non_finite_checkpoint_tensor_is_a_config_error(ws, tmp_path, capsys, ar
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["decode", "score", "experiment"])
-def test_non_utf8_input_is_a_config_error(ws, tmp_path, capsys, command):
+JSON_READERS = ["decode", "score", "experiment", "adapt"]
+
+
+def read_bad_json(ws, tmp_path, capsys, command, data):
+    """Exit code and stderr of ``command`` given a file holding ``data`` where it reads JSON."""
     bad = tmp_path / "bad.json"
-    bad.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    bad.write_bytes(data)
     argv = {
         "decode": ["decode", "--ckpt", ws / "ste.ckpt", "--corpus", bad,
                    "--out", tmp_path / "h.json"],
         "score": ["score", "--ref", ws / "hypsA.json", "--hyp", bad],
         "experiment": ["experiment", "--config", bad, "--out", tmp_path / "out"],
+        "adapt": ["adapt", "--ckpt", ws / "ste.ckpt", "--condition", "semi-sup-A",
+                  "--unlabeled", ws / "unlab/manifest.json", "--hyps-a", bad,
+                  "--out", tmp_path / "a.ckpt"],
     }[command]
-    assert run(*argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and f"{bad}: not UTF-8 text" in err
-    assert not (tmp_path / "h.json").exists()
+    code = run(*argv)
+    assert not (tmp_path / "h.json").exists() and not (tmp_path / "a.ckpt").exists()
     assert not list(tmp_path.glob("out/run-*"))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", JSON_READERS)
+def test_non_utf8_input_is_a_config_error(ws, tmp_path, capsys, command):
+    utf16 = b"\xff\xfe" + "{}".encode("utf-16-le")
+    code, err = read_bad_json(ws, tmp_path, capsys, command, utf16)
+    assert code == EXIT_CONFIG and len(err.splitlines()) == 1
+    assert err.startswith(f"configuration error: {tmp_path / 'bad.json'}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"{bad", "not JSON: Expecting property name enclosed in double quotes: line 1 column 2"),
+    # nested past the parser's recursion limit
+    (b"[" * 100_000, "not JSON: maximum recursion depth exceeded"),
+], ids=["syntax", "nested-too-deep"])
+@pytest.mark.parametrize("command", JSON_READERS)
+def test_not_json_input_is_a_config_error(ws, tmp_path, capsys, command, data, message):
+    code, err = read_bad_json(ws, tmp_path, capsys, command, data)
+    assert code == EXIT_CONFIG and len(err.splitlines()) == 1
+    assert err.startswith(f"configuration error: {tmp_path / 'bad.json'}: {message}")
 
 
 def write_wav(path, channels=1, width=2, rate=8000):
@@ -851,21 +876,43 @@ def test_malformed_manifest_record_is_a_config_error(ws, tmp_path, capsys):
     assert not (tmp_path / "h.json").exists()
 
 
-@pytest.mark.parametrize("manifest", [
-    {"utterances": []}, [], {"utterances": {}, "alphabet": []},
-    # every alphabet entry is a one-character string
-    {"utterances": [], "alphabet": [{}]},
-    {"utterances": [], "alphabet": [1, 2]},
-    {"utterances": [], "alphabet": ["ab", "c"]},
-])
-def test_malformed_manifest_top_level_is_a_config_error(ws, tmp_path, capsys, manifest):
+MANIFEST_SHAPE = 'a manifest is a JSON object with lists "utterances" and "alphabet"'
+ONE_CHARACTER = "alphabet symbols must be one-character strings, got "
+
+
+@pytest.mark.parametrize("manifest,message", [
+    ({"utterances": []}, MANIFEST_SHAPE), ([], MANIFEST_SHAPE),
+    ({"utterances": {}, "alphabet": []}, MANIFEST_SHAPE),
+    # the alphabet follows LabelAlphabet's rule: unique one-character strings
+    ({"utterances": [], "alphabet": [{}]}, ONE_CHARACTER + "[{}]"),
+    ({"utterances": [], "alphabet": [1, 2]}, ONE_CHARACTER + "[1, 2]"),
+    ({"utterances": [], "alphabet": ["ab", "c"]}, ONE_CHARACTER + "['ab', 'c']"),
+    ({"utterances": [], "alphabet": ["a", "a", "c", "d", "e"]},
+     "alphabet symbols must be unique"),
+], ids=[f"manifest{i}" for i in range(7)])
+def test_malformed_manifest_top_level_is_a_config_error(ws, tmp_path, capsys, manifest, message):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     assert run("decode", "--ckpt", ws / "ste.ckpt", "--corpus", path,
                "--out", tmp_path / "h.json") == EXIT_CONFIG
-    assert 'a manifest is a JSON object with lists "utterances" and "alphabet"' in (
-        capsys.readouterr().err)
+    assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
     assert not (tmp_path / "h.json").exists()
+
+
+def test_exit_code_follows_the_error_class(monkeypatch, capsys):
+    def subclasses(cls):
+        return [cls] + [c for sub in cls.__subclasses__() for c in subclasses(sub)]
+
+    for cls in subclasses(MhctcError):
+        def fail(args):
+            raise cls("the message")
+        monkeypatch.setitem(cli.COMMANDS, "score", fail)
+        code = run("score", "--ref", "refs.json", "--hyp", "hyps.json")
+        err = capsys.readouterr().err
+        if issubclass(cls, ConfigError):
+            assert (code, err) == (EXIT_CONFIG, "configuration error: the message\n"), cls
+        else:
+            assert (code, err) == (EXIT_STAGE, f"stage failure: {cls.__name__}: the message\n")
 
 
 def test_too_short_waveform_is_a_stage_failure(ws, tmp_path, capsys):
