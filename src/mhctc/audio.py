@@ -15,8 +15,8 @@ import numpy as np
 
 from .alphabet import LabelAlphabet
 from .errors import (
-    ConfigError, InvalidInput, InvalidLabel, NonNegative, check_fields, check_value, choices,
-    instance, ints, read_json, reals,
+    ConfigError, InvalidInput, NonNegative, check_fields, check_value, choices, instance, ints,
+    read_json, reals, source,
 )
 
 NOISE_KINDS = ("none", "white", "babble", "bandlimited")
@@ -212,56 +212,58 @@ def save_corpus(corpus, alphabet, out_dir):
     return out / "manifest.json"
 
 
-def _read_pcm(path, sample_rate, where):
+def _read_pcm(wav, sample_rate):
     """Samples of a mono 16-bit WAV recorded at ``sample_rate``; ConfigError otherwise."""
     if sample_rate < 1:
-        raise ConfigError(f"{where}: sample_rate must be positive, got {sample_rate}")
+        raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
     try:
-        with wave.open(str(path), "rb") as w:
+        with wave.open(str(wav), "rb") as w:
             shape = (w.getnchannels(), 8 * w.getsampwidth(), w.getframerate())
             data = w.readframes(w.getnframes())
     # the wave module raises a bare RuntimeError when a chunk size points past the file
     except (OSError, EOFError, RuntimeError, wave.Error) as exc:
         reason = str(exc) or "a chunk size points past the file"
-        raise ConfigError(f"{where}: cannot read WAV file {path}: {reason}") from exc
+        raise ConfigError(f"cannot read WAV file {wav}: {reason}") from exc
     if shape != (1, 16, sample_rate):
-        raise ConfigError(f"{where}: {path} has {shape[0]} channel(s) of {shape[1]}-bit samples"
+        raise ConfigError(f"{wav} has {shape[0]} channel(s) of {shape[1]}-bit samples"
                           f" at {shape[2]} Hz; expected mono 16-bit at {sample_rate} Hz")
     if len(data) % 2:
-        raise ConfigError(f"{where}: {path} ends in half a 16-bit sample ({len(data)} data bytes)")
+        raise ConfigError(f"{wav} ends in half a 16-bit sample ({len(data)} data bytes)")
     return np.frombuffer(data, dtype="<i2")
 
 
 def load_corpus(manifest_path):
-    """Read a manifest written by save_corpus; utterance ids must be unique."""
+    """Read a manifest written by save_corpus; utterance ids must be unique.
+
+    An error names the manifest, then the utterance record it is in.
+    """
     manifest_path = Path(manifest_path)
-    manifest = read_json(manifest_path)
-    if not (isinstance(manifest, dict)
-            and all(isinstance(manifest.get(key), list) for key in ("utterances", "alphabet"))):
-        raise ConfigError(f'{manifest_path}: a manifest is a JSON object with lists "utterances"'
-                          ' and "alphabet"')
-    try:
+    with source(manifest_path):
+        manifest = read_json(manifest_path)
+        if not (isinstance(manifest, dict)
+                and all(isinstance(manifest.get(key), list) for key in ("utterances", "alphabet"))):
+            raise ConfigError('a manifest is a JSON object with lists "utterances" and "alphabet"')
         alphabet = LabelAlphabet(tuple(manifest["alphabet"]))
-    except InvalidLabel as exc:
-        raise ConfigError(f"{manifest_path}: {exc}") from None
-    corpus, ids = [], set()
-    for i, rec in enumerate(manifest["utterances"]):
-        kinds = {key: type(rec.get(key)) for key in RECORD_TYPES} if isinstance(rec, dict) else {}
-        if kinds != RECORD_TYPES:
-            spec = ", ".join(f"{key} ({kind.__name__})" for key, kind in RECORD_TYPES.items())
-            raise ConfigError(f"{manifest_path}: utterance record {i} needs {spec}")
-        if rec["id"] in ids:
-            raise ConfigError(f"{manifest_path}: duplicate utterance id {rec['id']!r}")
-        ids.add(rec["id"])
-        pcm = _read_pcm(manifest_path.parent / rec["path"], rec["sample_rate"],
-                        f"{manifest_path}: utterance record {i} ({rec['id']!r})")
-        corpus.append(
-            Utterance(
-                id=rec["id"],
-                waveform=pcm.astype(np.float64) / 32767.0,
-                labels=alphabet.encode(rec["transcription"]),
-                sample_rate=rec["sample_rate"],
-                condition=rec["condition"],
+        corpus, ids = [], set()
+        for i, rec in enumerate(manifest["utterances"]):
+            kinds = ({key: type(rec.get(key)) for key in RECORD_TYPES}
+                     if isinstance(rec, dict) else {})
+            if kinds != RECORD_TYPES:
+                spec = ", ".join(f"{key} ({kind.__name__})" for key, kind in RECORD_TYPES.items())
+                raise ConfigError(f"utterance record {i} needs {spec}")
+            if rec["id"] in ids:
+                raise ConfigError(f"duplicate utterance id {rec['id']!r}")
+            ids.add(rec["id"])
+            with source(f"utterance record {i} ({rec['id']!r})"):
+                pcm = _read_pcm(manifest_path.parent / rec["path"], rec["sample_rate"])
+                labels = alphabet.encode(rec["transcription"])
+            corpus.append(
+                Utterance(
+                    id=rec["id"],
+                    waveform=pcm.astype(np.float64) / 32767.0,
+                    labels=labels,
+                    sample_rate=rec["sample_rate"],
+                    condition=rec["condition"],
+                )
             )
-        )
     return corpus, alphabet

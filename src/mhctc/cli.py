@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 stage failure. A ``ConfigError``
 (``InvalidLabel`` and ``InvalidInput`` are kinds of it) or an unreadable path exits 2;
-any other ``MhctcError`` exits 3.
+any other ``MhctcError`` exits 3. An input error names its file, then its record or id.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from .alphabet import LabelAlphabet, validate_transcription
 from .audio import NOISE_KINDS, SynthConfig, load_corpus, save_corpus, synth_corpus
 from .blas import pin_one_thread
 from .decode import DECODE_MODES, DecodeConfig, decode
-from .errors import ConfigError, InvalidLabel, MhctcError, read_json
+from .errors import ConfigError, MhctcError, read_json, source
 from .features import BANDS, FeatureConfig
 from .model import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -108,19 +108,24 @@ def build_parser():
     return parser
 
 
-def _load_hyps(path, n_symbols=None):
-    """An id -> labels file; with ``n_symbols``, each label an index of that alphabet."""
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object of id -> label list")
-    for uid, labels in data.items():
-        if not isinstance(labels, list) or any(type(v) is not int for v in labels):
-            raise ConfigError(f"{path}: labels of {uid!r} must hold integers, got {labels!r}")
-        if n_symbols is not None:
-            try:
-                validate_transcription(labels, n_symbols)
-            except InvalidLabel as exc:
-                raise ConfigError(f"{path}: labels of {uid!r}: {exc}") from None
+def _load_hyps(path, n_symbols=None, ids=()):
+    """An id -> labels file holding every id in ``ids``.
+
+    With ``n_symbols``, each label must be an index of that alphabet.
+    """
+    with source(path):
+        data = read_json(path)
+        if not isinstance(data, dict):
+            raise ConfigError("expected a JSON object of id -> label list")
+        for uid, labels in data.items():
+            if not isinstance(labels, list) or any(type(v) is not int for v in labels):
+                raise ConfigError(f"labels of {uid!r} must hold integers, got {labels!r}")
+            if n_symbols is not None:
+                with source(f"labels of {uid!r}"):
+                    validate_transcription(labels, n_symbols)
+        missing = sorted(set(ids) - set(data))
+        if missing:
+            raise ConfigError(f"hypotheses missing for ids: {missing[:5]}")
     return {uid: tuple(labels) for uid, labels in data.items()}
 
 
@@ -157,8 +162,9 @@ def _load_utts(path, symbols):
         return []
     corpus, alphabet = load_corpus(path)
     if alphabet.symbols != symbols:
-        raise ConfigError(f"{path}: alphabet {list(alphabet.symbols)} differs from the"
-                          f" checkpoint's {list(symbols)}")
+        with source(path):
+            raise ConfigError(f"alphabet {list(alphabet.symbols)} differs from the"
+                              f" checkpoint's {list(symbols)}")
     return corpus
 
 
@@ -175,8 +181,9 @@ def cmd_adapt(args):
             raise ConfigError(f"{args.condition} requires {flags}")
         split = AdaptationSplit(labeled=_load_utts(args.labeled, symbols),
                                 unlabeled=_load_utts(args.unlabeled, symbols), test=[])
-        hyps_a = _load_hyps(args.hyps_a, len(symbols)) if args.hyps_a else {}
-        hyps_b = _load_hyps(args.hyps_b, len(symbols)) if args.hyps_b else {}
+        unlabeled = [u.id for u in split.unlabeled]
+        hyps_a = _load_hyps(args.hyps_a, len(symbols), unlabeled) if args.hyps_a else {}
+        hyps_b = _load_hyps(args.hyps_b, len(symbols), unlabeled) if args.hyps_b else {}
         data = condition_dataset(args.condition, split, hyps_a, hyps_b, system, {})
         step = f"cli-adapt:{args.condition}:seed={args.seed}"
         system = train_system(system, data, _config_from(args, TrainConfig), step)
@@ -198,10 +205,7 @@ def cmd_decode(args):
 
 def cmd_score(args):
     refs = _load_hyps(args.ref)
-    hyps = _load_hyps(args.hyp)
-    missing = sorted(set(refs) - set(hyps))
-    if missing:
-        raise ConfigError(f"hypotheses missing for ids: {missing[:5]}")
+    hyps = _load_hyps(args.hyp, ids=refs)
     pairs = [(refs[uid], hyps[uid]) for uid in sorted(refs)]
     wer, cer = score_corpus(pairs)
     for name, rep, unit in (("WER", wer, "words"), ("CER", cer, "symbols")):
@@ -213,7 +217,8 @@ def cmd_score(args):
 def cmd_experiment(args):
     overrides = {}
     if args.config:
-        overrides = read_json(args.config)
+        with source(args.config):
+            overrides = read_json(args.config)
         if not isinstance(overrides, dict):
             raise ConfigError("experiment config must be a JSON object")
     names = [f.name for f in fields(ExperimentPlan)]

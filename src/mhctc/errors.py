@@ -2,10 +2,12 @@
 
 Each config field declares its kind in its annotation, e.g. ``hidden: Positive = 128``;
 the class's ``__post_init__`` calls ``check_fields``, then checks its cross-field rules.
+An input error names its file, then its record, through ``source`` scopes.
 """
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from sys import float_info
@@ -123,11 +125,28 @@ def check_fields(config):
         object.__setattr__(config, f.name, check_value(f.name, getattr(config, f.name), f.type))
 
 
+@contextmanager
+def source(name):
+    """Put ``<name>: `` in front of the message of any ConfigError raised inside the block.
+
+    The same error object is raised on, so its class, exit code and ``__cause__`` stay;
+    nested scopes read ``file: record: message``. Other errors pass through unchanged.
+    """
+    try:
+        yield
+    except ConfigError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+
+
 def read_json(path):
-    """The value a UTF-8 JSON file holds; ConfigError naming the file if it is not one."""
+    """The value a UTF-8 JSON file holds; ConfigError if it is not one.
+
+    Read it inside the caller's ``source(path)`` scope, which names the file.
+    """
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     # a RecursionError: arrays or objects nested deeper than the parser's stack
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         what = "UTF-8 text" if isinstance(exc, UnicodeDecodeError) else "JSON"
-        raise ConfigError(f"{path}: not {what}: {exc}") from exc
+        raise ConfigError(f"not {what}: {exc}") from exc

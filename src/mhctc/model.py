@@ -19,7 +19,7 @@ from .alphabet import LabelAlphabet
 from .ctc import ctc_lattice, ctc_loss, logits_gradient, target_labels  # noqa: F401
 from .errors import (
     ConfigError, DivergedError, InfeasibleAlignment, InvalidInput, NonNegative, Positive,
-    ShapeError, TooLarge, check_fields, reals,
+    ShapeError, TooLarge, check_fields, reals, source,
 )
 from .features import FeatureConfig
 from .mh import mh_ctc_loss  # noqa: F401
@@ -262,31 +262,27 @@ def save_checkpoint(system, path, alphabet_symbols):
             f.write(np.ascontiguousarray(tensor, dtype=np.float64).tobytes())
 
 
-def _read_header(data, path):
+def _read_header(data):
     """Parsed header and the offset of the first tensor byte."""
     if data[:8] != CHECKPOINT_MAGIC:
-        raise InvalidInput(f"{path}: not a checkpoint file")
+        raise InvalidInput("not a checkpoint file")
     end = 16 + int.from_bytes(data[8:16], "little")
     try:
         header = json.loads(data[16:end])
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidInput(f"{path}: unreadable checkpoint header: {exc}") from exc
+        raise InvalidInput(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
-        raise InvalidInput(f"{path}: checkpoint header is not a JSON object")
+        raise InvalidInput("checkpoint header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
-        raise InvalidInput(
-            f"{path}: checkpoint version {header.get('version')!r} is not supported"
-            f" (expected {CHECKPOINT_VERSION})"
-        )
+        raise InvalidInput(f"checkpoint version {header.get('version')!r} is not supported"
+                           f" (expected {CHECKPOINT_VERSION})")
     missing, unknown = CHECKPOINT_KEYS - set(header), set(header) - CHECKPOINT_KEYS
     if missing or unknown:
-        raise InvalidInput(
-            f"{path}: checkpoint header has missing keys {sorted(missing)}"
-            f" and unknown keys {sorted(unknown)}"
-        )
+        raise InvalidInput(f"checkpoint header has missing keys {sorted(missing)}"
+                           f" and unknown keys {sorted(unknown)}")
     for key in ("alphabet", "lineage"):
         if not isinstance(header[key], list) or not all(isinstance(v, str) for v in header[key]):
-            raise InvalidInput(f"{path}: checkpoint {key} must be a list of strings")
+            raise InvalidInput(f"checkpoint {key} must be a list of strings")
     return header, end
 
 
@@ -296,29 +292,30 @@ def load_checkpoint(path):
     Returns (system named after the file, alphabet symbols).  The model's
     input size is the front end's dimension and its output size the
     alphabet's.  A malformed, truncated or inconsistent file raises
-    InvalidInput.
+    InvalidInput naming the file.
     """
     with open(path, "rb") as f:
         data = f.read()
-    header, offset = _read_header(data, path)
-    try:
-        alphabet = LabelAlphabet(tuple(header["alphabet"]))
-        feature_cfg = FeatureConfig(**header["features"])
-        config = ModelConfig(feat_dim=feature_cfg.dim, n_outputs=alphabet.n_outputs,
-                             **header["config"])
-    except (TypeError, ConfigError) as exc:
-        raise InvalidInput(f"{path}: bad checkpoint config: {exc}") from exc
-    tensors = {}
-    for name, shape in _tensor_shapes(config).items():
-        nbytes = 8 * int(np.prod(shape))
-        buf = data[offset : offset + nbytes]
-        if len(buf) != nbytes:
-            raise InvalidInput(f"{path}: truncated: tensor {name} has {len(buf)} of {nbytes} bytes")
-        tensors[name] = np.frombuffer(buf).reshape(shape).copy()
-        if not np.all(np.isfinite(tensors[name])):
-            raise InvalidInput(f"{path}: tensor {name} contains non-finite values")
-        offset += nbytes
-    if offset != len(data):
-        raise InvalidInput(f"{path}: {len(data) - offset} trailing bytes after the last tensor")
+    with source(path):
+        header, offset = _read_header(data)
+        try:
+            alphabet = LabelAlphabet(tuple(header["alphabet"]))
+            feature_cfg = FeatureConfig(**header["features"])
+            config = ModelConfig(feat_dim=feature_cfg.dim, n_outputs=alphabet.n_outputs,
+                                 **header["config"])
+        except (TypeError, ConfigError) as exc:
+            raise InvalidInput(f"bad checkpoint config: {exc}") from exc
+        tensors = {}
+        for name, shape in _tensor_shapes(config).items():
+            nbytes = 8 * int(np.prod(shape))
+            buf = data[offset : offset + nbytes]
+            if len(buf) != nbytes:
+                raise InvalidInput(f"truncated: tensor {name} has {len(buf)} of {nbytes} bytes")
+            tensors[name] = np.frombuffer(buf).reshape(shape).copy()
+            if not np.all(np.isfinite(tensors[name])):
+                raise InvalidInput(f"tensor {name} contains non-finite values")
+            offset += nbytes
+        if offset != len(data):
+            raise InvalidInput(f"{len(data) - offset} trailing bytes after the last tensor")
     params = ModelParams(config=config, lineage=tuple(header["lineage"]), **tensors)
     return System(name=Path(path).stem, feature_cfg=feature_cfg, params=params), alphabet.symbols

@@ -211,18 +211,14 @@ def condition_dataset(condition, split, hyps_a, hyps_b, system, cache):
     The labeled subset keeps its manual transcriptions; each unlabeled
     utterance's target holds one transcription per source in
     ``CONDITION_TARGETS[condition]``, in its order (``hyps_a`` /
-    ``hyps_b``: id -> 1-best of A / B). Features come from ``system``'s
-    front end.
+    ``hyps_b``: id -> 1-best of A / B, each holding every unlabeled id
+    its condition reads). Features come from ``system``'s front end.
     """
     sources = CONDITION_TARGETS[condition]
     data = labeled_data(system, split.labeled, cache)
     if not sources:
         return data
     hyps = {"truth": {u.id: u.labels for u in split.unlabeled}, "sysA": hyps_a, "sysB": hyps_b}
-    for source in sources:
-        missing = [u.id for u in split.unlabeled if u.id not in hyps[source]]
-        if missing:
-            raise ConfigError(f"no {source} hypothesis for unlabeled utterance {missing[0]!r}")
     targets = [tuple(hyps[s][u.id] for s in sources) for u in split.unlabeled]
     return data + list(zip(_features_for(system, split.unlabeled, cache), targets))
 

@@ -166,7 +166,8 @@ def test_hypotheses_missing_reference_ids_is_a_config_error(ws, tmp_path, capsys
     assert run("score", "--ref", ws / "hypsA.json", "--hyp", tmp_path / "partial.json") == (
         EXIT_CONFIG)
     captured = capsys.readouterr()
-    assert captured.err == f"configuration error: hypotheses missing for ids: {gone}\n"
+    assert captured.err == (f"configuration error: {tmp_path / 'partial.json'}: hypotheses missing"
+                            f" for ids: {gone}\n")
     assert not captured.out
 
 
@@ -422,14 +423,38 @@ def test_manifest_in_another_alphabet_is_a_config_error(ws, tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["decode", "adapt"])
+def test_unknown_symbol_in_a_manifest_is_a_config_error(ws, tmp_path, capsys, command):
+    shutil.copytree(ws / "lab", tmp_path / "bad")
+    path = tmp_path / "bad/manifest.json"
+    manifest = json.loads(path.read_text())
+    record = manifest["utterances"][1]
+    record["transcription"] = "zz"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    if command == "decode":
+        code = run("decode", "--ckpt", ws / "ste.ckpt", "--corpus", path, "--out", out)
+    else:
+        code = adapt(ws, "supervised-labeled", out, labeled=path)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: {path}: utterance record 1"
+                                       f" ({record['id']!r}): unknown symbol 'z'\n")
+    assert not out.exists()
+
+
 def test_missing_hypothesis_id_is_a_config_error(ws, tmp_path, capsys):
-    hyps = json.loads((ws / "hypsA.json").read_text())
-    gone = sorted(hyps)[1]
-    del hyps[gone]
-    (tmp_path / "partial.json").write_text(json.dumps(hyps))
-    inputs = dict(all_inputs(ws), hyps_a=tmp_path / "partial.json")
-    assert adapt(ws, "mh-ctc", tmp_path / "a.ckpt", **inputs) == EXIT_CONFIG
-    assert f"no sysA hypothesis for unlabeled utterance '{gone}'" in capsys.readouterr().err
+    # each hypothesis file must cover the unlabeled manifest, and is refused as it is read
+    for flag, name in (("hyps_a", "hypsA.json"), ("hyps_b", "hypsB.json")):
+        hyps = json.loads((ws / name).read_text())
+        gone = sorted(hyps)[1]
+        del hyps[gone]
+        partial = tmp_path / f"partial-{name}"
+        partial.write_text(json.dumps(hyps))
+        inputs = dict(all_inputs(ws), **{flag: partial})
+        assert adapt(ws, "mh-ctc", tmp_path / "a.ckpt", **inputs) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: {partial}: hypotheses missing for ids: [{gone!r}]\n")
+        assert not (tmp_path / "a.ckpt").exists()
 
 
 @pytest.mark.parametrize("condition,flags", [

@@ -282,14 +282,6 @@ class TestConditionDatasets:
             assert x.tobytes() == cmn(extract(u, system.feature_cfg)).tobytes()
             assert target == (u.labels,)
 
-    def test_missing_hypothesis_id_is_named(self):
-        cache, sys_a, split, hyps = self._setup()
-        gone = split.unlabeled[2].id
-        partial = {k: v for k, v in hyps.items() if k != gone}
-        for condition in ("semi-sup-B", "mh-ctc"):
-            with pytest.raises(ConfigError, match=f"sysB hypothesis .*{gone}"):
-                condition_dataset(condition, split, hyps, partial, sys_a, cache)
-
     def test_identical_hypotheses_double_the_loss(self):
         # with H_A == H_B the combined loss on every unlabeled utterance is
         # exactly twice the single-hypothesis loss
