@@ -18,9 +18,10 @@ from .errors import (
     ConfigError, InvalidInput, NonNegative, check_fields, check_value, choices, instance, ints,
     read_json, reals, source,
 )
+from .features import check_rate
 
 NOISE_KINDS = ("none", "white", "babble", "bandlimited")
-RECORD_TYPES = dict(id=str, path=str, transcription=str, sample_rate=int, condition=str)
+RECORD_TYPES = dict(id=str, path=str, transcription=str)  # other keys are ignored
 SAMPLE_RATE = 8000
 SYMBOL_MS = (80, 140)  # range of one symbol's duration
 
@@ -54,7 +55,6 @@ class Utterance:
     waveform: np.ndarray
     labels: tuple
     sample_rate: int
-    condition: str
     signal_power: float = 0.0
     noise_power: float = 0.0
 
@@ -143,7 +143,6 @@ def synth_utterance(cfg, uid, length, seed_seq):
     signal = render_signal(cfg, labels, rng)
     if cfg.noise_kind == "none":
         wavef = signal
-        condition = "clean"
         ps, pn = float(np.mean(signal**2)), 0.0
     else:
         noise = make_noise(cfg.noise_kind, signal.size, rng)
@@ -151,7 +150,6 @@ def synth_utterance(cfg, uid, length, seed_seq):
         if cfg.snr_spread_db > 0.0:
             snr += rng.uniform(-cfg.snr_spread_db, cfg.snr_spread_db)
         wavef, ps, pn = mix_at_snr(signal, noise, snr)
-        condition = f"noisy@{cfg.snr_db:g}dB"
     peak = float(np.max(np.abs(wavef)))
     if peak > 1.0:
         wavef = wavef / peak  # scales signal and noise equally; SNR preserved
@@ -160,7 +158,6 @@ def synth_utterance(cfg, uid, length, seed_seq):
         waveform=wavef,
         labels=labels,
         sample_rate=SAMPLE_RATE,
-        condition=condition,
         signal_power=ps,
         noise_power=pn,
     )
@@ -185,7 +182,7 @@ def synth_corpus(cfg, n_utts, len_range, id_prefix="utt"):
 
 
 def save_corpus(corpus, alphabet, out_dir):
-    """Write 16-bit PCM WAVs plus a JSON manifest."""
+    """Write 16-bit PCM WAVs plus a JSON manifest; a WAV's header holds its rate."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -198,38 +195,30 @@ def save_corpus(corpus, alphabet, out_dir):
             w.setsampwidth(2)
             w.setframerate(u.sample_rate)
             w.writeframes(pcm.tobytes())
-        records.append(
-            {
-                "id": u.id,
-                "transcription": alphabet.decode(u.labels),
-                "condition": u.condition,
-                "path": wav_path.name,
-                "sample_rate": u.sample_rate,
-            }
-        )
+        records.append({"id": u.id, "transcription": alphabet.decode(u.labels),
+                        "path": wav_path.name})
     manifest = {"alphabet": list(alphabet.symbols), "utterances": records}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return out / "manifest.json"
 
 
-def _read_pcm(wav, sample_rate):
-    """Samples of a mono 16-bit WAV recorded at ``sample_rate``; ConfigError otherwise."""
-    if sample_rate < 1:
-        raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
+def _read_pcm(wav):
+    """(samples, rate) of a mono 16-bit WAV at a rate the front ends take; ConfigError otherwise."""
     try:
         with wave.open(str(wav), "rb") as w:
-            shape = (w.getnchannels(), 8 * w.getsampwidth(), w.getframerate())
+            shape, rate = (w.getnchannels(), 8 * w.getsampwidth()), w.getframerate()
             data = w.readframes(w.getnframes())
     # the wave module raises a bare RuntimeError when a chunk size points past the file
     except (OSError, EOFError, RuntimeError, wave.Error) as exc:
         reason = str(exc) or "a chunk size points past the file"
         raise ConfigError(f"cannot read WAV file {wav}: {reason}") from exc
-    if shape != (1, 16, sample_rate):
-        raise ConfigError(f"{wav} has {shape[0]} channel(s) of {shape[1]}-bit samples"
-                          f" at {shape[2]} Hz; expected mono 16-bit at {sample_rate} Hz")
+    if shape != (1, 16):
+        raise ConfigError(f"{wav} has {shape[0]} channel(s) of {shape[1]}-bit samples;"
+                          " expected mono 16-bit")
     if len(data) % 2:
         raise ConfigError(f"{wav} ends in half a 16-bit sample ({len(data)} data bytes)")
-    return np.frombuffer(data, dtype="<i2")
+    check_rate(rate)
+    return np.frombuffer(data, dtype="<i2"), rate
 
 
 def load_corpus(manifest_path):
@@ -255,15 +244,8 @@ def load_corpus(manifest_path):
                 raise ConfigError(f"duplicate utterance id {rec['id']!r}")
             ids.add(rec["id"])
             with source(f"utterance record {i} ({rec['id']!r})"):
-                pcm = _read_pcm(manifest_path.parent / rec["path"], rec["sample_rate"])
+                pcm, rate = _read_pcm(manifest_path.parent / rec["path"])
                 labels = alphabet.encode(rec["transcription"])
-            corpus.append(
-                Utterance(
-                    id=rec["id"],
-                    waveform=pcm.astype(np.float64) / 32767.0,
-                    labels=labels,
-                    sample_rate=rec["sample_rate"],
-                    condition=rec["condition"],
-                )
-            )
+            corpus.append(Utterance(id=rec["id"], waveform=pcm.astype(np.float64) / 32767.0,
+                                    labels=labels, sample_rate=rate))
     return corpus, alphabet

@@ -214,19 +214,22 @@ def cmd_score(args):
     return EXIT_OK
 
 
-def cmd_experiment(args):
-    overrides = {}
-    if args.config:
-        with source(args.config):
-            overrides = read_json(args.config)
+def _read_plan(path):
+    """The default plan with the fields that the JSON object in ``path`` gives."""
+    with source(path):
+        overrides = read_json(path)
         if not isinstance(overrides, dict):
             raise ConfigError("experiment config must be a JSON object")
-    names = [f.name for f in fields(ExperimentPlan)]
-    unknown = sorted(set(overrides) - set(names))
-    if unknown:
-        raise ConfigError(f"bad experiment config: a plan's fields are {', '.join(names)};"
-                          f" unknown: {', '.join(map(repr, unknown))}")
-    plan = ExperimentPlan(**overrides)
+        names = [f.name for f in fields(ExperimentPlan)]
+        unknown = sorted(set(overrides) - set(names))
+        if unknown:
+            raise ConfigError(f"bad experiment config: a plan's fields are {', '.join(names)};"
+                              f" unknown: {', '.join(map(repr, unknown))}")
+        return ExperimentPlan(**overrides)
+
+
+def cmd_experiment(args):
+    plan = _read_plan(args.config) if args.config else ExperimentPlan()
     report, run_dir = run_experiment(plan, out_dir=args.out)
     print(format_report(report))
     print(f"run directory: {run_dir}")

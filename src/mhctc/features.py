@@ -67,13 +67,17 @@ def _triangle_weights(flen, sample_rate, n_bands):
     return weights
 
 
-def _frames(x, sample_rate):
-    """Strided view [..., n_frames, flen] of the 25 ms frames, 10 ms apart, along x's last axis."""
-    # the one rate check: above 2 * FMIN_HZ, the hop also spans at least
-    # 2 samples and ENV_CUTOFF_HZ lies below Nyquist
+def check_rate(sample_rate):
+    """ConfigError unless both front ends take ``sample_rate``, in Hz."""
+    # above 2 * FMIN_HZ, the hop also spans at least 2 samples and ENV_CUTOFF_HZ lies below Nyquist
     if sample_rate <= 2 * FMIN_HZ:
         raise ConfigError(f"sample rate {sample_rate} Hz is not above {2 * FMIN_HZ:g} Hz,"
                           " twice the lowest band edge")
+
+
+def _frames(x, sample_rate):
+    """Strided view [..., n_frames, flen] of the 25 ms frames, 10 ms apart, along x's last axis."""
+    check_rate(sample_rate)
     flen = int(round(FRAME_MS * sample_rate / 1000.0))
     hop = int(round(HOP_MS * sample_rate / 1000.0))
     if x.shape[-1] < flen:

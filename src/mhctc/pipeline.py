@@ -312,16 +312,6 @@ def run_scenario_seed(plan, scenario, seed, run_dir):
     return {"conditions": results, "pseudo_label_wer": diag}
 
 
-def run_cell(plan, scenario, seed, run_dir):
-    """``run_scenario_seed``'s result, or {"error": ...} when the cell raised."""
-    try:
-        return run_scenario_seed(plan, scenario, seed, run_dir)
-    except Exception as exc:  # one failed cell must not kill the grid
-        # its traceback only under -v, from the process that ran the cell
-        log.debug("scenario %s seed %s raised", scenario, seed, exc_info=True)
-        return {"error": f"{type(exc).__name__}: {exc}"}
-
-
 _calls = []  # the running pool's calls: a forked worker shares them and runs one by index
 
 
@@ -339,8 +329,16 @@ def _run_call(i):
     return _calls[i]()
 
 
+def _outcome(fn, item):
+    """``fn(item)``, or the exception it raised."""
+    try:
+        return fn(item)
+    except Exception as exc:
+        return exc
+
+
 def _parallel_outcomes(fn, items):
-    """``fn`` of each item, in order, on the usable CPUs; a forked call's exception is its outcome.
+    """``fn`` of each item, in order, on the usable CPUs; a call's exception is its outcome.
 
     The workers are forked, so they import nothing again, share this
     process's memory (features already cached included) and stay its
@@ -349,12 +347,12 @@ def _parallel_outcomes(fn, items):
     one BLAS thread, so that the workers do not oversubscribe the CPUs.
     With one item, one usable CPU (``taskset -c 0``), no BLAS that can
     be pinned, or inside a worker process (no nested pools), the calls run
-    here, one after another, and an exception is raised at once.
+    here, one after another. Either way every call runs, whichever fails.
     """
     blas = openblas()  # None off Linux, where os.sched_getaffinity is missing too
     workers = min(len(items), len(os.sched_getaffinity(0))) if blas else 1
     if workers < 2 or multiprocessing.parent_process():  # no pool inside a pool worker
-        return [fn(item) for item in items]
+        return [_outcome(fn, item) for item in items]
     _calls[:] = [partial(fn, item) for item in items]  # a fork pool forks at its first submit
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_start_worker, initargs=(os.getpid(),)) as pool:
@@ -373,15 +371,23 @@ def parallel_map(fn, items):
 
 
 def _run_cells(plan, cells, run_dir):
-    """``run_cell`` of each (scenario, seed), in order, on the usable CPUs."""
-    outcomes = _parallel_outcomes(lambda cell: run_cell(plan, *cell, run_dir), cells)
-    # run_cell catches what a cell raises, so only a dead worker fails a call
-    return [{"error": f"{type(out).__name__}: {out}"} if isinstance(out, Exception) else out
-            for out in outcomes]
+    """``run_scenario_seed`` of each (scenario, seed), in order, on the usable CPUs.
+
+    A cell that raised gives ``{"error": "<Class>: <message>"}``: one failed cell
+    must not kill the grid.
+    """
+    outcomes = _parallel_outcomes(lambda cell: run_scenario_seed(plan, *cell, run_dir), cells)
+    results = []
+    for (scenario, seed), out in zip(cells, outcomes):
+        if isinstance(out, Exception):
+            log.debug("scenario %s seed %s raised", scenario, seed, exc_info=out)  # under -v
+            out = {"error": f"{type(out).__name__}: {out}"}
+        results.append(out)
+    return results
 
 
 def summarize(plan, results):
-    """The grid's report dict from ``{(scenario, seed): run_cell result}``; no I/O.
+    """The grid's report dict from ``{(scenario, seed): _run_cells result}``; no I/O.
 
     Per scenario: every seed's cell result, each condition's mean WER over
     the cells that ran (None when none did) and, when both conditions are

@@ -265,7 +265,6 @@ def test_criterion_8_feature_sanity():
                 waveform=render_signal(cfg, labels, rng),
                 labels=labels,
                 sample_rate=SAMPLE_RATE,
-                condition="clean",
             )
             band = int(np.argmax(fn(u, fcfg)[:, :nb].mean(axis=0)))
             f1, f2 = pairs[sym - 1]

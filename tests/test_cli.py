@@ -358,11 +358,12 @@ BAD_WAVS = {
     "empty": (lambda wav, rec: wav.write_bytes(b""), "cannot read WAV file"),
     "missing": (lambda wav, rec: wav.unlink(), "cannot read WAV file"),
     "stereo": (lambda wav, rec: write_wav(wav, channels=2),
-               "has 2 channel(s) of 16-bit samples at 8000 Hz"),
+               "has 2 channel(s) of 16-bit samples; expected mono 16-bit"),
     "8-bit": (lambda wav, rec: write_wav(wav, width=1), "has 1 channel(s) of 8-bit samples"),
-    "zero-rate": (lambda wav, rec: rec.update(sample_rate=0), "sample_rate must be positive, got 0"),
-    "rate-mismatch": (lambda wav, rec: rec.update(sample_rate=16000),
-                      "at 8000 Hz; expected mono 16-bit at 16000 Hz"),
+    # bytes 24-27 of the header hold the rate; the wave module cannot write 0 Hz
+    "zero-rate": (lambda wav, rec: wav.write_bytes(
+        wav.read_bytes()[:24] + bytes(4) + wav.read_bytes()[28:]),
+        "sample rate 0 Hz is not above 200 Hz"),
     "odd-byte-count": (lambda wav, rec: wav.write_bytes(wav.read_bytes()[:-1]),
                        "ends in half a 16-bit sample"),
     # the fmt chunk's size field points into the samples: the wave module's bare RuntimeError
@@ -396,13 +397,12 @@ def test_sample_rate_at_twice_the_lowest_band_edge_is_a_config_error(ws, tmp_pat
     path = tmp_path / "low/manifest.json"
     manifest = json.loads(path.read_text())
     for record in manifest["utterances"]:
-        record["sample_rate"] = 200
         write_wav(tmp_path / "low" / record["path"], rate=200)
-    path.write_text(json.dumps(manifest))
     assert run("decode", "--ckpt", ws / "ste.ckpt", "--corpus", path,
                "--out", tmp_path / "h.json") == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "sample rate 200 Hz" in err
+    where = f"{path}: utterance record 0 ({manifest['utterances'][0]['id']!r})"
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {where}: sample rate 200 Hz is not above 200 Hz")
     assert not (tmp_path / "h.json").exists()
 
 
@@ -622,7 +622,8 @@ def test_malformed_experiment_config_is_a_config_error(tmp_path, capsys, config,
     (tmp_path / "plan.json").write_text(json.dumps(config))
     code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
     assert code == EXIT_CONFIG
-    assert re.fullmatch("configuration error: " + message, capsys.readouterr().err)
+    prefix = f"configuration error: {tmp_path / 'plan.json'}: "
+    assert re.fullmatch(re.escape(prefix) + message, capsys.readouterr().err)
     assert not list(tmp_path.glob("out/run-*"))
 
 
@@ -656,6 +657,7 @@ def test_bad_plan_value_fails_before_the_grid(tmp_path, capsys, field, value, me
     code = run("experiment", "--config", tmp_path / "plan.json", "--out", tmp_path / "out")
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {tmp_path / 'plan.json'}: ")
     assert message in err and "Traceback" not in err and "Warning" not in err
     assert not list(tmp_path.glob("out/run-*"))
 

@@ -35,25 +35,19 @@ ALPHABET = LabelAlphabet(tuple("abcde"))
 def tone(freq, sr=8000, seconds=0.5):
     t = np.arange(int(sr * seconds)) / sr
     return Utterance(
-        id="tone", waveform=0.8 * np.sin(2 * np.pi * freq * t),
-        labels=(), sample_rate=sr, condition="clean",
+        id="tone", waveform=0.8 * np.sin(2 * np.pi * freq * t), labels=(), sample_rate=sr,
     )
 
 
 def silence(sr=8000, seconds=0.3):
     return Utterance(
-        id="sil", waveform=np.zeros(int(sr * seconds)),
-        labels=(), sample_rate=sr, condition="clean",
+        id="sil", waveform=np.zeros(int(sr * seconds)), labels=(), sample_rate=sr,
     )
 
 
 class TestSynth:
     def test_empty_corpus(self):
         assert synth_corpus(SynthConfig(alphabet=ALPHABET), 0, (4, 10)) == []
-
-    def test_clean_condition(self):
-        corpus = synth_corpus(SynthConfig(alphabet=ALPHABET, noise_kind="none"), 3, (4, 10))
-        assert all(u.condition == "clean" for u in corpus)
 
     def test_snr_realized(self):
         cfg = SynthConfig(alphabet=ALPHABET, noise_kind="babble", snr_db=10.0, seed=1)
@@ -168,7 +162,7 @@ def reference_cases():
     for sr in (8000, 16000):
         for n in (4099, 8716, sr // 40, 6337):
             utts.append(Utterance(id=f"n{n}-{sr}", waveform=0.3 * rng.standard_normal(n),
-                                  labels=(), sample_rate=sr, condition="noise"))
+                                  labels=(), sample_rate=sr))
     return utts
 
 

@@ -479,9 +479,38 @@ class TestScenarioAndReport:
         assert all(pid != os.getpid() and threads == 1 for _, pid, threads in calls[2])
         assert same_files(dirs[1], dirs[2]) == len(CONDITIONS) + 1 + 2
 
+    def test_failed_condition_leaves_the_same_files_serial_or_forked(self, tmp_path, monkeypatch):
+        # every condition runs, whichever fails, so the others keep their checkpoints
+        blas = openblas()
+        if blas is None:
+            pytest.skip("no bundled OpenBLAS to pin: the stages always run serially")
+        adapt = pipeline.run_adaptation_condition
+
+        def adapt_or_fail(condition, *args):
+            if condition == "semi-sup-A":
+                raise RuntimeError("no semi-sup-A today")
+            return adapt(condition, *args)
+
+        monkeypatch.setattr(pipeline, "run_adaptation_condition", adapt_or_fail)
+        plan = replace(TINY, scenarios=("clean-train",))
+        default_threads = blas.scipy_openblas_get_num_threads64_()
+        dirs = {}
+        try:
+            for cpus, threads in (({0}, 1), ({0, 1}, 2)):
+                blas.scipy_openblas_set_num_threads64_(threads)
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                report, dirs[len(cpus)] = run_experiment(plan, tmp_path / f"cpus{len(cpus)}")
+                cell = report["scenarios"]["clean-train"]["per_seed"]["0"]
+                assert cell == {"error": "RuntimeError: no semi-sup-A today"}
+        finally:
+            blas.scipy_openblas_set_num_threads64_(default_threads)
+        kept = sorted(ckpt.stem for ckpt in dirs[1].rglob("*.ckpt"))
+        assert kept == sorted(set(CONDITIONS) - {"semi-sup-A"})
+        assert same_files(dirs[1], dirs[2]) == len(kept) + 2
+
 
 def synthetic_results(plan, wer=lambda seed, c: 10.0 + 3 * seed + CONDITIONS.index(c), fail=()):
-    """``{(scenario, seed): cell result}`` shaped as ``run_cell`` returns them.
+    """``{(scenario, seed): cell result}`` shaped as ``_run_cells`` returns them.
 
     Each condition's WER is ``wer(seed, condition)``; the cells in ``fail``
     hold an error instead.
