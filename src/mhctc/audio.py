@@ -18,11 +18,10 @@ from .errors import (
     ConfigError, InvalidInput, NonNegative, check_fields, check_value, choices, instance, ints,
     read_json, reals, source,
 )
-from .features import check_rate
 
 NOISE_KINDS = ("none", "white", "babble", "bandlimited")
 RECORD_TYPES = dict(id=str, path=str, transcription=str)  # other keys are ignored
-SAMPLE_RATE = 8000
+SAMPLE_RATE = 8000  # the one rate of every corpus, in Hz
 SYMBOL_MS = (80, 140)  # range of one symbol's duration
 
 
@@ -54,7 +53,6 @@ class Utterance:
     id: str
     waveform: np.ndarray
     labels: tuple
-    sample_rate: int
     signal_power: float = 0.0
     noise_power: float = 0.0
 
@@ -157,7 +155,6 @@ def synth_utterance(cfg, uid, length, seed_seq):
         id=uid,
         waveform=wavef,
         labels=labels,
-        sample_rate=SAMPLE_RATE,
         signal_power=ps,
         noise_power=pn,
     )
@@ -182,7 +179,7 @@ def synth_corpus(cfg, n_utts, len_range, id_prefix="utt"):
 
 
 def save_corpus(corpus, alphabet, out_dir):
-    """Write 16-bit PCM WAVs plus a JSON manifest; a WAV's header holds its rate."""
+    """Write mono 16-bit PCM WAVs at SAMPLE_RATE plus a JSON manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -193,7 +190,7 @@ def save_corpus(corpus, alphabet, out_dir):
         with wave.open(str(wav_path), "wb") as w:
             w.setnchannels(1)
             w.setsampwidth(2)
-            w.setframerate(u.sample_rate)
+            w.setframerate(SAMPLE_RATE)
             w.writeframes(pcm.tobytes())
         records.append({"id": u.id, "transcription": alphabet.decode(u.labels),
                         "path": wav_path.name})
@@ -203,22 +200,21 @@ def save_corpus(corpus, alphabet, out_dir):
 
 
 def _read_pcm(wav):
-    """(samples, rate) of a mono 16-bit WAV at a rate the front ends take; ConfigError otherwise."""
+    """Samples of a mono 16-bit WAV at SAMPLE_RATE; ConfigError otherwise."""
     try:
         with wave.open(str(wav), "rb") as w:
-            shape, rate = (w.getnchannels(), 8 * w.getsampwidth()), w.getframerate()
+            shape = (w.getnchannels(), 8 * w.getsampwidth(), w.getframerate())
             data = w.readframes(w.getnframes())
     # the wave module raises a bare RuntimeError when a chunk size points past the file
     except (OSError, EOFError, RuntimeError, wave.Error) as exc:
         reason = str(exc) or "a chunk size points past the file"
         raise ConfigError(f"cannot read WAV file {wav}: {reason}") from exc
-    if shape != (1, 16):
-        raise ConfigError(f"{wav} has {shape[0]} channel(s) of {shape[1]}-bit samples;"
-                          " expected mono 16-bit")
+    if shape != (1, 16, SAMPLE_RATE):
+        raise ConfigError(f"{wav} has {shape[0]} channel(s) of {shape[1]}-bit samples at"
+                          f" {shape[2]} Hz; expected mono 16-bit at {SAMPLE_RATE} Hz")
     if len(data) % 2:
         raise ConfigError(f"{wav} ends in half a 16-bit sample ({len(data)} data bytes)")
-    check_rate(rate)
-    return np.frombuffer(data, dtype="<i2"), rate
+    return np.frombuffer(data, dtype="<i2")
 
 
 def load_corpus(manifest_path):
@@ -244,8 +240,8 @@ def load_corpus(manifest_path):
                 raise ConfigError(f"duplicate utterance id {rec['id']!r}")
             ids.add(rec["id"])
             with source(f"utterance record {i} ({rec['id']!r})"):
-                pcm, rate = _read_pcm(manifest_path.parent / rec["path"])
+                pcm = _read_pcm(manifest_path.parent / rec["path"])
                 labels = alphabet.encode(rec["transcription"])
             corpus.append(Utterance(id=rec["id"], waveform=pcm.astype(np.float64) / 32767.0,
-                                    labels=labels, sample_rate=rate))
+                                    labels=labels))
     return corpus, alphabet

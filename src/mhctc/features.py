@@ -14,11 +14,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, filtfilt
 
-from .errors import ConfigError, Positive, TooShort, check_fields, choices
+from .audio import SAMPLE_RATE
+from .errors import Positive, TooShort, check_fields, choices
 
 LOG_FLOOR_VALUE = 1e-10
 FRAME_MS = 25.0
 HOP_MS = 10.0
+FRAME_LEN = int(round(FRAME_MS * SAMPLE_RATE / 1000.0))  # 200 samples
+HOP_LEN = int(round(HOP_MS * SAMPLE_RATE / 1000.0))  # 80 samples
 FMIN_HZ = 100.0  # lowest mel band edge
 ENV_CUTOFF_HZ = 30.0  # STE envelope low-pass
 BANDS = {"fbank": 16, "ste": 12}  # each front end's band count: systems A and B of the grid
@@ -47,18 +50,17 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_band_edges(n_bands, sample_rate):
+def mel_band_edges(n_bands):
     """n_bands + 2 mel-spaced edge frequencies from FMIN_HZ to Nyquist."""
-    fmax = sample_rate / 2.0
-    mels = np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(fmax), n_bands + 2)
+    mels = np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(SAMPLE_RATE / 2.0), n_bands + 2)
     return mel_to_hz(mels)
 
 
 @lru_cache(maxsize=8)
-def _triangle_weights(flen, sample_rate, n_bands):
-    """Read-only n_bands x (flen // 2 + 1) triangular filterbank over one frame's rfft bins."""
-    freqs = np.fft.rfftfreq(flen, 1.0 / sample_rate)
-    edges = mel_band_edges(n_bands, sample_rate)[:, None]
+def _triangle_weights(n_bands):
+    """Read-only n_bands x (FRAME_LEN // 2 + 1) triangular filterbank over one frame's rfft bins."""
+    freqs = np.fft.rfftfreq(FRAME_LEN, 1.0 / SAMPLE_RATE)
+    edges = mel_band_edges(n_bands)[:, None]
     lo, ctr, hi = edges[:-2], edges[1:-1], edges[2:]
     rise = (freqs - lo) / np.maximum(ctr - lo, 1e-12)
     fall = (hi - freqs) / np.maximum(hi - ctr, 1e-12)
@@ -67,22 +69,11 @@ def _triangle_weights(flen, sample_rate, n_bands):
     return weights
 
 
-def check_rate(sample_rate):
-    """ConfigError unless both front ends take ``sample_rate``, in Hz."""
-    # above 2 * FMIN_HZ, the hop also spans at least 2 samples and ENV_CUTOFF_HZ lies below Nyquist
-    if sample_rate <= 2 * FMIN_HZ:
-        raise ConfigError(f"sample rate {sample_rate} Hz is not above {2 * FMIN_HZ:g} Hz,"
-                          " twice the lowest band edge")
-
-
-def _frames(x, sample_rate):
-    """Strided view [..., n_frames, flen] of the 25 ms frames, 10 ms apart, along x's last axis."""
-    check_rate(sample_rate)
-    flen = int(round(FRAME_MS * sample_rate / 1000.0))
-    hop = int(round(HOP_MS * sample_rate / 1000.0))
-    if x.shape[-1] < flen:
-        raise TooShort(f"waveform of {x.shape[-1]} samples < one {flen}-sample frame")
-    return sliding_window_view(x, flen, axis=-1)[..., ::hop, :]
+def _frames(x):
+    """Strided view [..., n_frames, FRAME_LEN] of x's 25 ms frames, 10 ms apart, on its last axis."""
+    if x.shape[-1] < FRAME_LEN:
+        raise TooShort(f"waveform of {x.shape[-1]} samples < one {FRAME_LEN}-sample frame")
+    return sliding_window_view(x, FRAME_LEN, axis=-1)[..., ::HOP_LEN, :]
 
 
 def compute_deltas(static, window=2):
@@ -106,10 +97,9 @@ def _append_deltas(static):
 
 def fbank(utt, cfg):
     """Log-mel filterbank features for one utterance."""
-    frames = _frames(np.asarray(utt.waveform, dtype=np.float64), utt.sample_rate)
-    flen = frames.shape[-1]
-    spec = np.abs(np.fft.rfft(frames * np.hanning(flen), axis=1))
-    fb = _triangle_weights(flen, utt.sample_rate, cfg.n_bands)
+    frames = _frames(np.asarray(utt.waveform, dtype=np.float64))
+    spec = np.abs(np.fft.rfft(frames * np.hanning(FRAME_LEN), axis=1))
+    fb = _triangle_weights(cfg.n_bands)
     static = np.log(np.maximum(spec @ fb.T, LOG_FLOOR_VALUE))
     return _append_deltas(static)
 
@@ -125,10 +115,10 @@ def _gaussian_weights(freqs, edges):
     return np.exp(-0.5 * ((freqs - edges[1:-1]) / sigma) ** 2)
 
 
-@lru_cache(maxsize=8)
-def _envelope_filter(sample_rate):
+@lru_cache(maxsize=1)
+def _envelope_filter():
     """(b, a) of the 4th-order Butterworth low-pass that smooths each band envelope."""
-    return butter(4, ENV_CUTOFF_HZ / (sample_rate / 2.0))
+    return butter(4, ENV_CUTOFF_HZ / (SAMPLE_RATE / 2.0))
 
 
 def ste(utt, cfg):
@@ -142,20 +132,15 @@ def ste(utt, cfg):
     ``env[:, idx]`` puts the band axis innermost and sums in another order.
     """
     x = np.asarray(utt.waveform, dtype=np.float64)
-    sr = utt.sample_rate
-    _frames(x, sr)  # the rate and length checks, before the filter is designed
-    b, a = _envelope_filter(sr)
-    padlen = 3 * max(len(a), len(b))  # filtfilt's edge padding: one frame's length at ~620 Hz
-    if x.size <= padlen:
-        raise TooShort(f"waveform of {x.size} samples <= the {padlen}-sample filter padding")
+    _frames(x)  # the length check: a frame is longer than filtfilt's 15-sample edge padding
     spec = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(x.size, 1.0 / sr)
-    edges = mel_band_edges(cfg.n_bands, sr)
+    freqs = np.fft.rfftfreq(x.size, 1.0 / SAMPLE_RATE)
+    edges = mel_band_edges(cfg.n_bands)
     # masks and the complex bands stay unnamed, so they are freed before
     # filtfilt makes its three n_bands x n_samples copies
     bands = np.abs(np.fft.irfft(spec * _gaussian_weights(freqs, edges), x.size, axis=1))
-    env = filtfilt(b, a, bands, axis=1)
-    static = np.log(np.maximum(_frames(env, sr).mean(axis=-1), LOG_FLOOR_VALUE))
+    env = filtfilt(*_envelope_filter(), bands, axis=1)
+    static = np.log(np.maximum(_frames(env).mean(axis=-1), LOG_FLOOR_VALUE))
     return _append_deltas(static.T)
 
 

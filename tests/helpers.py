@@ -6,6 +6,7 @@ import numpy as np
 from scipy.signal import butter, filtfilt
 
 from mhctc.alphabet import BLANK, LabelAlphabet, validate_transcription
+from mhctc.audio import SAMPLE_RATE
 from mhctc.ctc import NEG_INF, LossResult, check_logp, collapse_path, expand_labels, min_frames
 from mhctc.decode import DecodeConfig, DecodedHypothesis
 from mhctc.errors import InfeasibleAlignment, MhctcError, ShapeError
@@ -24,9 +25,9 @@ ORACLE_GUARD = 10**7
 DEFAULT_ALPHABET = LabelAlphabet(tuple("abcde"))
 
 
-def mel_center_frequencies(n_bands, sample_rate):
+def mel_center_frequencies(n_bands):
     """The n_bands mel-spaced centers between the lowest band edge and Nyquist."""
-    return mel_band_edges(n_bands, sample_rate)[1:-1]
+    return mel_band_edges(n_bands)[1:-1]
 
 
 class OracleTooLarge(MhctcError):
@@ -186,18 +187,18 @@ def beam_decode_reference(logp, cfg=DecodeConfig()):
     return DecodedHypothesis(labels=best, log_prob=float(np.logaddexp(pb, pnb)))
 
 
-def frame_index(n_samples, sample_rate):
+def frame_index(n_samples):
     """One row of sample indices per 25 ms frame, 10 ms apart."""
-    flen = int(round(FRAME_MS * sample_rate / 1000.0))
-    hop = int(round(HOP_MS * sample_rate / 1000.0))
+    flen = int(round(FRAME_MS * SAMPLE_RATE / 1000.0))
+    hop = int(round(HOP_MS * SAMPLE_RATE / 1000.0))
     n_frames = (n_samples - flen) // hop + 1
     return np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
 
 
-def triangle_weights_reference(flen, sample_rate, n_bands):
+def triangle_weights_reference(flen, n_bands):
     """One band at a time: the rising then the falling edge of each mel triangle."""
-    freqs = np.fft.rfftfreq(flen, 1.0 / sample_rate)
-    edges = mel_band_edges(n_bands, sample_rate)
+    freqs = np.fft.rfftfreq(flen, 1.0 / SAMPLE_RATE)
+    edges = mel_band_edges(n_bands)
     weights = np.zeros((n_bands, freqs.size))
     for k in range(n_bands):
         lo, ctr, hi = edges[k], edges[k + 1], edges[k + 2]
@@ -225,11 +226,10 @@ def fbank_reference(utt, cfg):
     byte-identical features.
     """
     x = np.asarray(utt.waveform, dtype=np.float64)
-    sr = utt.sample_rate
-    idx = frame_index(x.size, sr)
+    idx = frame_index(x.size)
     flen = idx.shape[1]
     spec = np.abs(np.fft.rfft(x[idx] * np.hanning(flen), axis=1))
-    fb = triangle_weights_reference(flen, sr, cfg.n_bands)
+    fb = triangle_weights_reference(flen, cfg.n_bands)
     return _append_deltas(np.log(np.maximum(spec @ fb.T, LOG_FLOOR_VALUE)))
 
 
@@ -240,12 +240,11 @@ def ste_reference(utt, cfg):
     byte-identical features.
     """
     x = np.asarray(utt.waveform, dtype=np.float64)
-    sr = utt.sample_rate
-    idx = frame_index(x.size, sr)
+    idx = frame_index(x.size)
     spec = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(x.size, 1.0 / sr)
-    masks = gaussian_weights_reference(freqs, mel_band_edges(cfg.n_bands, sr))
-    b, a = butter(4, ENV_CUTOFF_HZ / (sr / 2.0))
+    freqs = np.fft.rfftfreq(x.size, 1.0 / SAMPLE_RATE)
+    masks = gaussian_weights_reference(freqs, mel_band_edges(cfg.n_bands))
+    b, a = butter(4, ENV_CUTOFF_HZ / (SAMPLE_RATE / 2.0))
     static = np.zeros((idx.shape[0], cfg.n_bands))
     for k in range(cfg.n_bands):
         band = np.fft.irfft(spec * masks[k], x.size)

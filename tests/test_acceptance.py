@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from mhctc.audio import (
-    SAMPLE_RATE,
     SynthConfig,
     Utterance,
     render_signal,
@@ -257,14 +256,13 @@ def test_criterion_8_feature_sanity():
     rng = np.random.default_rng(108)
     for kind, fn, nb in (("fbank", fbank, 16), ("ste", ste, 12)):
         fcfg = FeatureConfig(kind=kind, n_bands=nb)
-        centers = mel_center_frequencies(nb, SAMPLE_RATE)
+        centers = mel_center_frequencies(nb)
         for sym in range(1, len(DEFAULT_ALPHABET.symbols) + 1):
             labels = (sym,) * 3
             u = Utterance(
                 id=f"{kind}-{sym}",
                 waveform=render_signal(cfg, labels, rng),
                 labels=labels,
-                sample_rate=SAMPLE_RATE,
             )
             band = int(np.argmax(fn(u, fcfg)[:, :nb].mean(axis=0)))
             f1, f2 = pairs[sym - 1]

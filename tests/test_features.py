@@ -10,6 +10,7 @@ from helpers import (
 from mhctc.alphabet import LabelAlphabet
 from mhctc.audio import (
     NOISE_KINDS,
+    SAMPLE_RATE,
     SynthConfig,
     Utterance,
     load_corpus,
@@ -32,17 +33,13 @@ from mhctc.features import (
 ALPHABET = LabelAlphabet(tuple("abcde"))
 
 
-def tone(freq, sr=8000, seconds=0.5):
-    t = np.arange(int(sr * seconds)) / sr
-    return Utterance(
-        id="tone", waveform=0.8 * np.sin(2 * np.pi * freq * t), labels=(), sample_rate=sr,
-    )
+def tone(freq, seconds=0.5):
+    t = np.arange(int(SAMPLE_RATE * seconds)) / SAMPLE_RATE
+    return Utterance(id="tone", waveform=0.8 * np.sin(2 * np.pi * freq * t), labels=())
 
 
-def silence(sr=8000, seconds=0.3):
-    return Utterance(
-        id="sil", waveform=np.zeros(int(sr * seconds)), labels=(), sample_rate=sr,
-    )
+def silence(seconds=0.3):
+    return Utterance(id="sil", waveform=np.zeros(int(SAMPLE_RATE * seconds)), labels=())
 
 
 class TestSynth:
@@ -95,7 +92,7 @@ class TestSynth:
 class TestFbank:
     def test_tone_band_argmax(self):
         cfg = FeatureConfig(kind="fbank")
-        centers = mel_center_frequencies(cfg.n_bands, 8000)
+        centers = mel_center_frequencies(cfg.n_bands)
         feats = fbank(tone(1000.0), cfg)[:, :cfg.n_bands]
         expected = int(np.argmin(np.abs(centers - 1000.0)))
         assert int(np.argmax(feats.mean(axis=0))) == expected
@@ -122,7 +119,7 @@ class TestFbank:
 class TestSte:
     def test_tone_band_argmax(self):
         cfg = FeatureConfig(kind="ste")
-        centers = mel_center_frequencies(cfg.n_bands, 8000)
+        centers = mel_center_frequencies(cfg.n_bands)
         for k in (2, 5, 8):
             feats = ste(tone(float(centers[k])), cfg)[:, :cfg.n_bands]
             assert int(np.argmax(feats.mean(axis=0))) == k
@@ -150,19 +147,17 @@ class TestSte:
 def reference_cases():
     """Seeded utterances for the front ends' identity tests.
 
-    Every noise kind at 8 kHz, plus white-noise waveforms at 8 and 16 kHz
-    whose lengths take pocketfft's slow paths (the primes 4,099 and 6,337,
-    which it transforms by Bluestein's algorithm, and 8,716 = 4 * 2,179)
-    and one of exactly one 25 ms frame.
+    Every noise kind, plus white-noise waveforms whose lengths take
+    pocketfft's slow paths (the primes 4,099 and 6,337, which it transforms
+    by Bluestein's algorithm, and 8,716 = 4 * 2,179) and one of exactly
+    one 25 ms frame (200 samples).
     """
     utts = [u for kind in NOISE_KINDS
             for u in synth_corpus(SynthConfig(alphabet=ALPHABET, noise_kind=kind, seed=7), 2,
                                   (4, 10))]
     rng = np.random.default_rng(9)
-    for sr in (8000, 16000):
-        for n in (4099, 8716, sr // 40, 6337):
-            utts.append(Utterance(id=f"n{n}-{sr}", waveform=0.3 * rng.standard_normal(n),
-                                  labels=(), sample_rate=sr))
+    for n in (4099, 8716, 200, 6337):
+        utts.append(Utterance(id=f"n{n}", waveform=0.3 * rng.standard_normal(n), labels=()))
     return utts
 
 
@@ -189,10 +184,10 @@ def test_fbank_filterbank_is_built_once_per_front_end():
     u = tone(1000.0)
     first = fbank(u, cfg)
     # one 25 ms frame at 8 kHz is 200 samples
-    fb = _triangle_weights(200, 8000, 16)
+    fb = _triangle_weights(16)
     assert fb.shape == (16, 101) and not fb.flags.writeable
-    assert fb.tobytes() == triangle_weights_reference(200, 8000, 16).tobytes()
-    assert _triangle_weights(200, 8000, 16) is fb
+    assert fb.tobytes() == triangle_weights_reference(200, 16).tobytes()
+    assert _triangle_weights(16) is fb
     assert fbank(u, cfg).tobytes() == first.tobytes()
 
 
