@@ -108,10 +108,10 @@ def build_parser():
     return parser
 
 
-def _load_hyps(path, n_symbols=None, ids=()):
+def _load_hyps(path, alphabet=None, ids=()):
     """An id -> labels file holding every id in ``ids``.
 
-    With ``n_symbols``, each label must be an index of that alphabet.
+    With ``alphabet``, each label must be an index of it.
     """
     with source(path):
         data = read_json(path)
@@ -120,9 +120,9 @@ def _load_hyps(path, n_symbols=None, ids=()):
         for uid, labels in data.items():
             if not isinstance(labels, list) or any(type(v) is not int for v in labels):
                 raise ConfigError(f"labels of {uid!r} must hold integers, got {labels!r}")
-            if n_symbols is not None:
+            if alphabet is not None:
                 with source(f"labels of {uid!r}"):
-                    validate_transcription(labels, n_symbols)
+                    validate_transcription(labels, alphabet.n_symbols)
         missing = sorted(set(ids) - set(data))
         if missing:
             raise ConfigError(f"hypotheses missing for ids: {missing[:5]}")
@@ -142,10 +142,10 @@ def cmd_train(args):
     corpus, alphabet = load_corpus(args.corpus)
     train_cfg = _config_from(args, TrainConfig)
     fcfg = FeatureConfig(kind=args.features, n_bands=args.n_bands)
-    system = init_system("cli", fcfg, alphabet.n_outputs, args.context, args.hidden, args.seed)
+    system = init_system("cli", fcfg, alphabet, args.context, args.hidden, args.seed)
     step = f"cli-train:{args.features}:seed={args.seed}"
     system = train_system(system, labeled_data(system, corpus, {}), train_cfg, step)
-    save_checkpoint(system, args.out, alphabet.symbols)
+    save_checkpoint(system, args.out)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
 
@@ -156,21 +156,21 @@ def _config_from(args, cls, **given):
     return cls(**flags, **given)
 
 
-def _load_utts(path, symbols):
-    """Utterances of a manifest (none without ``path``) written in the checkpoint's ``symbols``."""
+def _load_utts(path, alphabet):
+    """Utterances of a manifest (none without ``path``) written in the checkpoint's ``alphabet``."""
     if not path:
         return []
-    corpus, alphabet = load_corpus(path)
-    if alphabet.symbols != symbols:
+    corpus, manifest_alphabet = load_corpus(path)
+    if manifest_alphabet != alphabet:
         with source(path):
-            raise ConfigError(f"alphabet {list(alphabet.symbols)} differs from the"
-                              f" checkpoint's {list(symbols)}")
+            raise ConfigError(f"alphabet {list(manifest_alphabet.symbols)} differs from the"
+                              f" checkpoint's {list(alphabet.symbols)}")
     return corpus
 
 
 def cmd_adapt(args):
     sources = CONDITION_TARGETS[args.condition]  # None: no adaptation
-    system, symbols = load_checkpoint(args.ckpt)
+    system = load_checkpoint(args.ckpt)
     if sources is not None:
         # --labeled when every target is manual, one flag per other source
         needs = {"labeled": set(sources) <= {"truth"}, "unlabeled": bool(sources),
@@ -179,23 +179,23 @@ def cmd_adapt(args):
         if missing:
             flags = ", ".join("--" + k.replace("_", "-") for k in missing)
             raise ConfigError(f"{args.condition} requires {flags}")
-        split = AdaptationSplit(labeled=_load_utts(args.labeled, symbols),
-                                unlabeled=_load_utts(args.unlabeled, symbols), test=[])
-        unlabeled = [u.id for u in split.unlabeled]
-        hyps_a = _load_hyps(args.hyps_a, len(symbols), unlabeled) if args.hyps_a else {}
-        hyps_b = _load_hyps(args.hyps_b, len(symbols), unlabeled) if args.hyps_b else {}
+        split = AdaptationSplit(labeled=_load_utts(args.labeled, system.alphabet),
+                                unlabeled=_load_utts(args.unlabeled, system.alphabet), test=[])
+        ids = [u.id for u in split.unlabeled]
+        hyps_a, hyps_b = (_load_hyps(path, system.alphabet, ids) if path else {}
+                          for path in (args.hyps_a, args.hyps_b))
         data = condition_dataset(args.condition, split, hyps_a, hyps_b, system, {})
         step = f"cli-adapt:{args.condition}:seed={args.seed}"
         system = train_system(system, data, _config_from(args, TrainConfig), step)
-    save_checkpoint(system, args.out, symbols)
+    save_checkpoint(system, args.out)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
 
 
 def cmd_decode(args):
     dcfg = DecodeConfig(beam_width=args.beam_width, mode=args.mode)
-    system, symbols = load_checkpoint(args.ckpt)
-    corpus = _load_utts(args.corpus, symbols)
+    system = load_checkpoint(args.ckpt)
+    corpus = _load_utts(args.corpus, system.alphabet)
     hyps = decode_set(system, corpus, lambda logp: decode(logp, dcfg), {})
     out = {uid: [int(v) for v in labels] for uid, labels in hyps.items()}
     Path(args.out).write_text(json.dumps(out, indent=2, sort_keys=True))

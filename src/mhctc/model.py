@@ -50,7 +50,6 @@ class ModelParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    lineage: tuple = ()
 
     def copy(self):
         return replace(self, **{k: v.copy() for k, v in self.tensors().items()})
@@ -61,11 +60,16 @@ class ModelParams:
 
 @dataclass
 class System:
-    """A trained model and the front end it reads; a checkpoint holds one."""
+    """What a checkpoint holds: a model, the front end it reads and the alphabet it writes.
+
+    ``lineage`` names the training steps that made it, from ``init:seed=<seed>`` on.
+    """
 
     name: str
     feature_cfg: FeatureConfig
+    alphabet: LabelAlphabet
     params: ModelParams
+    lineage: tuple = ()
 
 
 @dataclass
@@ -107,7 +111,6 @@ def init_model(config):
             b1=np.zeros(shapes["b1"]),
             w2=rng.uniform(-lim2, lim2, size=shapes["w2"]),
             b2=np.zeros(shapes["b2"]),
-            lineage=(f"init:seed={config.seed}",),
         )
     # a size past the memory (MemoryError), past numpy's intp (ValueError) or past a float
     except (MemoryError, ValueError, OverflowError) as exc:
@@ -225,40 +228,34 @@ def sgd_train(params, dataset, cfg):
     return params, curve
 
 
-def with_lineage(params, step):
-    """``params`` with one lineage step appended (checkpoint provenance); tensors are shared."""
-    return replace(params, lineage=params.lineage + (step,))
-
-
-def format_curve(curve):
-    """First and last epoch of a loss curve, for log lines."""
-    if not curve:
-        return "no epochs run"
-    return f"{curve[0]:.3f} -> {curve[-1]:.3f}"
-
-
-def save_checkpoint(system, path, alphabet_symbols):
+def save_checkpoint(system, path):
     """Deterministic binary container: magic, JSON header, raw tensor bytes.
 
     The header records the front end the model was trained on and its
     alphabet, which give the model's input and output sizes, so loading a
     checkpoint is enough to extract matching features.  The float64 tensors
     follow in ``ModelParams.tensors`` order, their shapes given by the config.
+    A model whose sizes are not the front end's and the alphabet's raises
+    ShapeError, as no checkpoint could describe it.
     """
-    params = system.params
+    config = system.params.config
+    sizes = (config.feat_dim, config.n_outputs)
+    fits = (system.feature_cfg.dim, system.alphabet.n_outputs)
+    if sizes != fits:
+        raise ShapeError(f"model sizes {sizes} differ from the front end's and alphabet's {fits}")
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": {k: getattr(params.config, k) for k in ("context", "hidden", "seed")},
+        "config": {k: getattr(config, k) for k in ("context", "hidden", "seed")},
         "features": asdict(system.feature_cfg),
-        "alphabet": list(alphabet_symbols),
-        "lineage": list(params.lineage),
+        "alphabet": list(system.alphabet.symbols),
+        "lineage": list(system.lineage),
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(len(blob).to_bytes(8, "little"))
         f.write(blob)
-        for tensor in params.tensors().values():
+        for tensor in system.params.tensors().values():
             f.write(np.ascontiguousarray(tensor, dtype=np.float64).tobytes())
 
 
@@ -289,7 +286,7 @@ def _read_header(data):
 def load_checkpoint(path):
     """Inverse of save_checkpoint; bit-exact round trip.
 
-    Returns (system named after the file, alphabet symbols).  The model's
+    Returns the System, named after the file.  The model's
     input size is the front end's dimension and its output size the
     alphabet's.  A malformed, truncated or inconsistent file raises
     InvalidInput naming the file.
@@ -317,5 +314,5 @@ def load_checkpoint(path):
             offset += nbytes
         if offset != len(data):
             raise InvalidInput(f"{len(data) - offset} trailing bytes after the last tensor")
-    params = ModelParams(config=config, lineage=tuple(header["lineage"]), **tensors)
-    return System(name=Path(path).stem, feature_cfg=feature_cfg, params=params), alphabet.symbols
+    return System(name=Path(path).stem, feature_cfg=feature_cfg, alphabet=alphabet,
+                  params=ModelParams(config=config, **tensors), lineage=tuple(header["lineage"]))

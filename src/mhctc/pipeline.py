@@ -41,12 +41,10 @@ from .model import (
     ModelConfig,
     System,
     TrainConfig,
-    format_curve,
     forward,
     init_model,
     save_checkpoint,
     sgd_train,
-    with_lineage,
 )
 from .score import score_corpus
 
@@ -159,18 +157,21 @@ def labeled_data(system, utts, cache):
     return list(zip(_features_for(system, utts, cache), ((u.labels,) for u in utts)))
 
 
-def init_system(name, feature_cfg, n_outputs, context, hidden, seed):
-    """A freshly initialized model on the front end ``feature_cfg``."""
-    mcfg = ModelConfig(feat_dim=feature_cfg.dim, n_outputs=n_outputs, context=context,
+def init_system(name, feature_cfg, alphabet, context, hidden, seed):
+    """A freshly initialized model reading ``feature_cfg`` and writing ``alphabet``."""
+    mcfg = ModelConfig(feat_dim=feature_cfg.dim, n_outputs=alphabet.n_outputs, context=context,
                        hidden=hidden, seed=seed)
-    return System(name=name, feature_cfg=feature_cfg, params=init_model(mcfg))
+    return System(name=name, feature_cfg=feature_cfg, alphabet=alphabet,
+                  params=init_model(mcfg), lineage=(f"init:seed={seed}",))
 
 
 def train_system(system, data, train_cfg, step):
     """``system`` trained on (features, target) pairs, with ``step`` appended to its lineage."""
     params, curve = sgd_train(system.params, data, train_cfg)
-    log.info("%s: loss %s", step, format_curve(curve))
-    return replace(system, params=with_lineage(params, step))
+    # the first and last epoch's loss
+    loss = f"{curve[0]:.3f} -> {curve[-1]:.3f}" if curve else "no epochs run"
+    log.info("%s: loss %s", step, loss)
+    return replace(system, params=params, lineage=system.lineage + (step,))
 
 
 def decode_set(system, utts, decoder, cache):
@@ -259,7 +260,7 @@ def _build_systems(plan, scenario, seed, alphabet, cache):
 
     def build(i):
         name, kind = (("sysA", "fbank"), ("sysB", "ste"))[i]
-        system = init_system(name, FeatureConfig(kind), alphabet.n_outputs, ModelConfig.context,
+        system = init_system(name, FeatureConfig(kind), alphabet, ModelConfig.context,
                              plan.hidden, seed * 10 + i)
         data = labeled_data(system, train_corpus, cache)
         return train_system(system, data, plan.train_cfg("train", seed),
@@ -297,13 +298,13 @@ def run_scenario_seed(plan, scenario, seed, run_dir):
         adapted = run_adaptation_condition(
             condition, sys_a, split, hyps_a, hyps_b, plan, seed, cache)
         wer, cer = evaluate(adapted, split.test, plan, cache)
-        save_checkpoint(adapted, cell_dir / f"{condition}.ckpt", alphabet.symbols)
+        save_checkpoint(adapted, cell_dir / f"{condition}.ckpt")
         return {
             "wer": round(wer.wer, 4),
             "cer": round(cer.wer, 4),
             "errors": wer.errors,
             "ref_words": wer.ref_words,
-            "lineage": list(adapted.params.lineage),
+            "lineage": list(adapted.lineage),
         }
     results = dict(zip(plan.conditions, parallel_map(adapt_and_score, plan.conditions)))
     payload = {name: {k: [int(v) for v in vs] for k, vs in sorted(hyps.items())}

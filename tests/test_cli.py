@@ -108,7 +108,7 @@ def test_synth_flag_defaults_are_synth_configs_and_the_plans(tmp_path):
 
 
 def test_ste_checkpoint_decodes_with_ste_features(ws):
-    system, _ = load_checkpoint(ws / "ste.ckpt")
+    system = load_checkpoint(ws / "ste.ckpt")
     params, fcfg = system.params, system.feature_cfg
     assert fcfg == FeatureConfig(kind="ste", n_bands=12)
     corpus, _ = load_corpus(ws / "unlab/manifest.json")
@@ -127,13 +127,13 @@ def test_ste_checkpoint_decodes_with_ste_features(ws):
 def test_adapt_each_condition_keeps_front_end(ws, condition):
     out = ws / f"{condition}.ckpt"
     assert adapt(ws, condition, out, **all_inputs(ws)) == EXIT_OK
-    system, symbols = load_checkpoint(out)
+    system = load_checkpoint(out)
     assert system.feature_cfg == FeatureConfig(kind="ste", n_bands=12)
-    assert symbols == tuple("abcde")
+    assert system.alphabet.symbols == tuple("abcde")
     if condition == "no-adapt":  # the checkpoint is written back unchanged
         assert out.read_bytes() == (ws / "ste.ckpt").read_bytes()
     else:
-        assert system.params.lineage[-1] == f"cli-adapt:{condition}:seed=3"
+        assert system.lineage[-1] == f"cli-adapt:{condition}:seed=3"
 
 
 def test_adapt_matches_in_process_training(ws):
@@ -142,11 +142,11 @@ def test_adapt_matches_in_process_training(ws):
     out = ws / "check.ckpt"
     assert adapt(ws, "supervised-all", out, labeled=ws / "lab/manifest.json",
                  unlabeled=ws / "unlab/manifest.json") == EXIT_OK
-    system, _ = load_checkpoint(ws / "ste.ckpt")
+    system = load_checkpoint(ws / "ste.ckpt")
     utts = load_corpus(ws / "lab/manifest.json")[0] + load_corpus(ws / "unlab/manifest.json")[0]
     data = [(cmn(ste(u, system.feature_cfg)), (u.labels,)) for u in utts]
     want, _ = sgd_train(system.params, data, TrainConfig(learning_rate=0.01, epochs=1, seed=3))
-    got = load_checkpoint(out)[0].params
+    got = load_checkpoint(out).params
     for k, v in want.tensors().items():
         np.testing.assert_array_equal(got.tensors()[k], v)
 
@@ -178,8 +178,8 @@ def test_zero_epochs_writes_unchanged_model(ws, tmp_path):
     assert run("adapt", "--ckpt", out, "--condition", "supervised-labeled",
                "--labeled", ws / "lab/manifest.json", "--out", tmp_path / "a.ckpt",
                "--epochs", 0) == EXIT_OK
-    first = load_checkpoint(out)[0].params
-    second = load_checkpoint(tmp_path / "a.ckpt")[0].params
+    first = load_checkpoint(out).params
+    second = load_checkpoint(tmp_path / "a.ckpt").params
     for k, v in first.tensors().items():
         np.testing.assert_array_equal(second.tensors()[k], v)
 
@@ -290,9 +290,9 @@ def test_train_band_count_follows_the_front_end(ws, tmp_path, features, flags, w
     ["adapt", "--condition", "supervised-labeled"],
 ], ids=["decode-beam", "decode-greedy", "adapt"])
 def test_non_finite_checkpoint_tensor_is_a_config_error(ws, tmp_path, capsys, argv):
-    system, symbols = load_checkpoint(ws / "ste.ckpt")
+    system = load_checkpoint(ws / "ste.ckpt")
     system.params.w2[:] = np.nan
-    save_checkpoint(system, tmp_path / "nan.ckpt", symbols)
+    save_checkpoint(system, tmp_path / "nan.ckpt")
     out = tmp_path / "out"
     inputs = ["--corpus", ws / "unlab/manifest.json"] if argv[0] == "decode" else [
         "--labeled", ws / "lab/manifest.json", *ADAPT_TRAIN]

@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from mhctc.alphabet import LabelAlphabet
 from mhctc.ctc import ctc_loss
 from mhctc.errors import DivergedError, InvalidInput, InvalidLabel, ShapeError
 from mhctc.features import FeatureConfig
@@ -17,7 +18,6 @@ from mhctc.model import (
     save_checkpoint,
     sgd_train,
     stack_context,
-    with_lineage,
 )
 
 from helpers import backward, stack_context_reference
@@ -246,16 +246,18 @@ class TestSgdTrain:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        m = with_lineage(tiny_model(seed=5), "test-stage")
+        m = tiny_model(seed=5)
         path = tmp_path / "m.ckpt"
         fcfg = FeatureConfig(kind="ste", n_bands=1)
-        save_checkpoint(System(name="a", feature_cfg=fcfg, params=m), path, ("a", "b"))
-        loaded, symbols = load_checkpoint(path)
-        assert symbols == ("a", "b")
+        saved = System(name="a", feature_cfg=fcfg, alphabet=LabelAlphabet(("a", "b")), params=m,
+                       lineage=("init:seed=5", "test-stage"))
+        save_checkpoint(saved, path)
+        loaded = load_checkpoint(path)
         assert loaded.name == "m"
         assert loaded.feature_cfg == fcfg
+        assert loaded.alphabet == saved.alphabet
+        assert loaded.lineage == saved.lineage
         assert loaded.params.config == m.config
-        assert loaded.params.lineage == m.lineage
         np.testing.assert_array_equal(flatten(loaded.params), flatten(m))
         # the model's input and output sizes are stored once, as the front end and the alphabet
         data = path.read_bytes()
@@ -263,8 +265,17 @@ class TestCheckpoint:
         assert header["config"] == {"context": 1, "hidden": 5, "seed": 5}
 
     def test_byte_identical_rewrites(self, tmp_path):
-        system = System(name="a", feature_cfg=FeatureConfig(n_bands=1), params=tiny_model(seed=6))
+        system = System(name="a", feature_cfg=FeatureConfig(n_bands=1),
+                        alphabet=LabelAlphabet(("a", "b")), params=tiny_model(seed=6))
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(system, p1, ("a", "b"))
-        save_checkpoint(system, p2, ("a", "b"))
+        save_checkpoint(system, p1)
+        save_checkpoint(system, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_model_the_alphabet_does_not_fit_is_not_written(self, tmp_path):
+        # three outputs are two symbols and the blank; five symbols need six
+        system = System(name="a", feature_cfg=FeatureConfig(n_bands=1),
+                        alphabet=LabelAlphabet(tuple("abcde")), params=tiny_model())
+        with pytest.raises(ShapeError, match=r"model sizes \(3, 3\) differ .* \(3, 6\)"):
+            save_checkpoint(system, tmp_path / "m.ckpt")
+        assert not (tmp_path / "m.ckpt").exists()

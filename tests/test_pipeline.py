@@ -189,7 +189,7 @@ class TestStages:
             )
 
         assert labeled_loss(a_hat) < labeled_loss(sys_a)
-        assert "supervised-stage:sysA:seed=0" in a_hat.params.lineage
+        assert "supervised-stage:sysA:seed=0" in a_hat.lineage
 
     def test_empty_labeled_set_skips_stage(self):
         cache = {}
@@ -268,7 +268,8 @@ class TestConditionDatasets:
         split = make_splits(tiny_corpus(), (4, 6, 8), seed=0)
         cache = {}
         for n_bands in (16, 12):
-            system = System(name="a", feature_cfg=FeatureConfig(n_bands=n_bands), params=None)
+            system = System(name="a", feature_cfg=FeatureConfig(n_bands=n_bands), alphabet=ALPHA,
+                            params=None)
             data = condition_dataset("supervised-labeled", split, {}, {}, system, cache)
             assert {x.shape[1] for x, _ in data} == {3 * n_bands}
 
@@ -276,7 +277,7 @@ class TestConditionDatasets:
         # corpora synthesized apart, as a labeled and an unlabeled manifest are, reuse ids
         a, b = tiny_corpus(n=1, seed=0) + tiny_corpus(n=1, seed=1)
         assert a.id == b.id
-        system = System(name="a", feature_cfg=FeatureConfig(), params=None)
+        system = System(name="a", feature_cfg=FeatureConfig(), alphabet=ALPHA, params=None)
         data = labeled_data(system, [a, b], {})
         for (x, target), u in zip(data, (a, b)):
             assert x.tobytes() == cmn(extract(u, system.feature_cfg)).tobytes()
@@ -328,9 +329,9 @@ class TestAdaptationConditions:
         split = make_splits(tiny_corpus(), (4, 6, 8), seed=0)
         hyps = {u.id: (1,) for u in split.unlabeled}
         out = run_adaptation_condition("mh-ctc", sys_a, split, hyps, hyps, TINY, 0, cache)
-        assert any(step.startswith("train:clean-train:sysA") for step in out.params.lineage)
-        assert not any("supervised-stage" in step for step in out.params.lineage)
-        assert out.params.lineage[-1] == "adapt:mh-ctc:seed=0"
+        assert any(step.startswith("train:clean-train:sysA") for step in out.lineage)
+        assert not any("supervised-stage" in step for step in out.lineage)
+        assert out.lineage[-1] == "adapt:mh-ctc:seed=0"
 
 
 class TestScenarioAndReport:
@@ -340,10 +341,10 @@ class TestScenarioAndReport:
         assert set(out["pseudo_label_wer"]) == {"sysA", "sysB"}
         ckpts = sorted(p.name for p in (tmp_path / "clean-train" / "seed0").glob("*.ckpt"))
         assert ckpts == sorted(f"{c}.ckpt" for c in CONDITIONS)
-        system, symbols = load_checkpoint(tmp_path / "clean-train" / "seed0" / "mh-ctc.ckpt")
-        assert symbols == ALPHA.symbols
+        system = load_checkpoint(tmp_path / "clean-train" / "seed0" / "mh-ctc.ckpt")
+        assert system.alphabet.symbols == ALPHA.symbols
         assert system.feature_cfg == FeatureConfig(kind="fbank", n_bands=16)
-        assert system.params.lineage[-1] == "adapt:mh-ctc:seed=0"
+        assert system.lineage[-1] == "adapt:mh-ctc:seed=0"
 
     def test_hypotheses_persisted(self, tmp_path):
         run_scenario_seed(TINY, "clean-train", 0, run_dir=tmp_path)
